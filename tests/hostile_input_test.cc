@@ -8,13 +8,20 @@
 // bundle (see tests/corpus/snapshot/README.md for the operation grammar),
 // so the corpus stays valid as the bundle format evolves — recipes corrupt
 // whatever the current writer produces.
+//
+// Served bytes are pinned too: tests/corpus/ndjson/responses.tsv records
+// the exact response to every NDJSON entry and to a list of well-formed
+// requests, so a change to the request path that moves a single byte of
+// any answer fails here.
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -210,6 +217,26 @@ std::vector<fs::path> CorpusFiles(const std::string& subdir,
   return files;
 }
 
+// The <key><TAB><response> lines of tests/corpus/ndjson/responses.tsv, in
+// file order ('#' lines are comments).
+std::vector<std::pair<std::string, std::string>> RecordedResponses() {
+  std::vector<std::pair<std::string, std::string>> recorded;
+  std::istringstream lines(
+      ReadFileBytes(CorpusDir() + "/ndjson/responses.tsv"));
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    size_t tab = line.find('\t');
+    EXPECT_NE(tab, std::string::npos) << "no tab in recorded line: " << line;
+    if (tab == std::string::npos) continue;
+    recorded.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+  }
+  return recorded;
+}
+
+bool IsCorpusKey(const std::string& key) {
+  return fs::path(key).extension() == ".txt";
+}
+
 class HostileInputTest : public ::testing::Test {
  protected:
   std::string Scratch(const std::string& leaf) {
@@ -302,6 +329,10 @@ TEST_F(HostileInputTest, EveryNdjsonEntryAnswersWithAnError) {
   auto engine = serve::QueryEngine::Open(dir, engine_options);
   ASSERT_TRUE(engine.ok()) << engine.status().message();
   serve::Server server(engine->get(), serve::ServerOptions{});
+  std::map<std::string, std::string> recorded;
+  for (const auto& [key, response] : RecordedResponses()) {
+    if (IsCorpusKey(key)) recorded[key] = response;
+  }
 
   for (const fs::path& path : entries) {
     std::string line = ReadFileBytes(path.string());
@@ -310,17 +341,53 @@ TEST_F(HostileInputTest, EveryNdjsonEntryAnswersWithAnError) {
     }
     // The parser must return a Status (either way) without crashing…
     (void)serve::ParseFlatJson(line).ok();
-    // …and the server must answer every entry with a structured error.
+    // …and the server must answer every entry with a structured error…
     std::string response = server.HandleLine(line);
     EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u)
         << path.filename() << " got " << response;
     auto reparsed = serve::ParseFlatJson(response);
     EXPECT_TRUE(reparsed.ok())
         << path.filename() << ": unparseable error response " << response;
+    // …whose bytes are exactly the recorded ones.
+    auto it = recorded.find(path.filename().string());
+    if (it == recorded.end()) {
+      ADD_FAILURE() << path.filename()
+                    << " has no recorded response in responses.tsv";
+      continue;
+    }
+    EXPECT_EQ(response, it->second) << path.filename();
+    recorded.erase(it);
+  }
+  for (const auto& [key, response] : recorded) {
+    ADD_FAILURE() << "responses.tsv records " << key
+                  << ", which is not a corpus entry";
   }
   EXPECT_EQ(registry.CounterValue("serve.requests"),
             static_cast<uint64_t>(entries.size()));
   EXPECT_EQ(registry.CounterValue("serve.ok"), 0u);
+}
+
+// The well-formed side of the byte pin: every non-corpus line of
+// responses.tsv is a request, replayed in file order on one fresh server
+// (successful align/explain/neighbors/repair_status answers, field-check
+// precedence, and the exact error each missing field produces).
+TEST_F(HostileInputTest, RecordedRequestsAnswerRecordedBytes) {
+  std::string dir = Scratch("recorded");
+  ASSERT_TRUE(serve::WriteSnapshot(MakeTinyBundle(), dir).ok());
+  obs::Registry registry;
+  serve::EngineOptions engine_options;
+  engine_options.registry = &registry;
+  auto engine = serve::QueryEngine::Open(dir, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().message();
+  serve::Server server(engine->get(), serve::ServerOptions{});
+
+  size_t replayed = 0;
+  for (const auto& [request, response] : RecordedResponses()) {
+    if (IsCorpusKey(request)) continue;
+    EXPECT_EQ(server.HandleLine(request), response) << request;
+    ++replayed;
+  }
+  EXPECT_GE(replayed, 20u) << "recorded requests went missing";
 }
 
 TEST_F(HostileInputTest, OversizedRequestLineIsRejectedAndCounted) {
