@@ -19,10 +19,12 @@
 #      exits non-zero),
 #   4. tsan: a ThreadSanitizer pass over the concurrency-sensitive suites
 #      — the worker-pool kernels (parallel_test), the obs metrics registry
-#      (obs_test), the event loop / bounded queue (net_test), and the
-#      serving engine's shared LRU cache / async request path / snapshot
-#      hot-swap churn (serve_test, incl. SwapChurnWhileAlignsStayInFlight
-#      and HotSwapUnderConcurrentLoadDropsNothing),
+#      (obs_test), the event loop / bounded queue (net_test), the
+#      explainer's path memo shared by concurrent explains (explain_test,
+#      ConcurrentColdExplainsMatchSerial), and the serving engine's shared
+#      LRU cache / async request path / snapshot hot-swap churn
+#      (serve_test, incl. SwapChurnWhileAlignsStayInFlight and
+#      HotSwapUnderConcurrentLoadDropsNothing),
 #   5. asan+ubsan: the full ctest suite under AddressSanitizer +
 #      UndefinedBehaviorSanitizer with EXEA_DCHECKS=ON, so the contract
 #      layer (src/util/check.h) is exercised together with the
@@ -115,13 +117,15 @@ if [[ "${FAST}" == 1 ]]; then
   exit 0
 fi
 
-echo "=== tsan: parallel_test + obs_test + net_test + serve_test + simd_test + index_test ==="
+echo "=== tsan: parallel_test + obs_test + net_test + explain_test + serve_test + simd_test + index_test ==="
 cmake -B build-tsan -S . -DEXEA_SANITIZE=thread -DEXEA_DCHECKS=ON
 cmake --build build-tsan -j"${JOBS}" --target \
-  parallel_test obs_test net_test serve_test simd_test index_test
+  parallel_test obs_test net_test explain_test serve_test simd_test \
+  index_test
 ./build-tsan/tests/parallel_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/net_test
+./build-tsan/tests/explain_test
 ./build-tsan/tests/serve_test
 ./build-tsan/tests/simd_test
 ./build-tsan/tests/index_test

@@ -29,10 +29,14 @@ ExeaExplainer::ExeaExplainer(const data::EaDataset& dataset,
 
 const PathsWithEmbeddings& ExeaExplainer::PathsFor(kg::KgSide side,
                                                    kg::EntityId e) const {
-  auto& cache = side == kg::KgSide::kSource ? cache1_ : cache2_;
-  auto it = cache.find(e);
-  if (it != cache.end()) return it->second;
-
+  {
+    std::lock_guard<std::mutex> lock(paths_mu_);
+    auto& cache = side == kg::KgSide::kSource ? cache1_ : cache2_;
+    auto it = cache.find(e);
+    if (it != cache.end()) return it->second;
+  }
+  // Enumerate outside the lock so concurrent misses on other entities
+  // proceed in parallel.
   const kg::KnowledgeGraph& graph =
       side == kg::KgSide::kSource ? dataset_->kg1 : dataset_->kg2;
   const la::Matrix& ent = model_->EntityEmbeddings(side);
@@ -49,6 +53,10 @@ const PathsWithEmbeddings& ExeaExplainer::PathsFor(kg::KgSide side,
   for (const kg::RelationPath& path : entry.paths) {
     entry.embeddings.push_back(PathEmbedding(path, ent, rel));
   }
+  std::lock_guard<std::mutex> lock(paths_mu_);
+  auto& cache = side == kg::KgSide::kSource ? cache1_ : cache2_;
+  // A racing miss on the same entity may have inserted first; its entry is
+  // identical (enumeration is deterministic), so keep it.
   return cache.emplace(e, std::move(entry)).first->second;
 }
 

@@ -11,11 +11,13 @@
 // embeddings (the model's own when available, Eq. (1) translation-based
 // otherwise). Path enumeration and Eq. (2) path embeddings are memoized per
 // entity, which is what keeps the repair loops (Algorithms 1 and 2, which
-// call Explain per candidate) fast.
+// call Explain per candidate) fast. The memo is locked, so one explainer
+// serves concurrent Explain/Confidence callers (the serving workers).
 
 #ifndef EXEA_EXPLAIN_EXEA_H_
 #define EXEA_EXPLAIN_EXEA_H_
 
+#include <mutex>
 #include <unordered_map>
 
 #include "data/dataset.h"
@@ -25,6 +27,7 @@
 #include "explain/explanation.h"
 #include "explain/matcher.h"
 #include "kg/functionality.h"
+#include "util/check.h"
 
 namespace exea::explain {
 
@@ -68,8 +71,14 @@ class ExeaExplainer {
   kg::RelationFunctionality func2_;
   la::Matrix rel1_;  // relation embeddings, source KG
   la::Matrix rel2_;  // relation embeddings, target KG
-  mutable std::unordered_map<kg::EntityId, PathsWithEmbeddings> cache1_;
-  mutable std::unordered_map<kg::EntityId, PathsWithEmbeddings> cache2_;
+
+  // Path memos per side. Entries are never erased, so references PathsFor
+  // hands out stay valid after the lock is released.
+  mutable std::mutex paths_mu_;
+  mutable std::unordered_map<kg::EntityId, PathsWithEmbeddings> cache1_
+      EXEA_GUARDED_BY(paths_mu_);
+  mutable std::unordered_map<kg::EntityId, PathsWithEmbeddings> cache2_
+      EXEA_GUARDED_BY(paths_mu_);
 };
 
 }  // namespace exea::explain

@@ -66,13 +66,6 @@ Status SetNonBlocking(int fd) {
   return Status::Ok();
 }
 
-int AcceptRetry(int listener) {
-  while (true) {
-    int client = ::accept(listener, nullptr, nullptr);
-    if (client >= 0 || errno != EINTR) return client;
-  }
-}
-
 int AcceptNonBlocking(int listener) {
   while (true) {
     // Callers hand this a non-blocking listener, so accept4 returns
@@ -125,8 +118,8 @@ bool LineReader::ReadLine(size_t max_bytes, std::string* line,
   bool discarding = false;
   while (true) {
     if (pos_ >= buf_.size() && !Refill()) {
-      // EOF mid-line still delivers what was read, matching the stream
-      // reader the blocking server always used.
+      // EOF mid-line still delivers what was read, matching the stdin
+      // loop's stream reader.
       if (discarding) return true;
       return !line->empty();
     }

@@ -1,6 +1,6 @@
-// Blocking-socket primitives shared by the serving paths and the CLI
-// clients: loopback listeners with a real backlog, EINTR-safe accept,
-// short-write-safe sends, and a bounded buffered line reader.
+// Socket primitives shared by the event loop and the CLI clients:
+// loopback listeners with a real backlog, an EINTR-safe non-blocking
+// accept, short-write-safe sends, and a bounded buffered line reader.
 //
 // Everything here speaks raw fds. The rules every helper follows:
 //
@@ -42,16 +42,11 @@ inline constexpr int kListenBacklog = 128;
 // Puts `fd` into non-blocking mode.
 [[nodiscard]] Status SetNonBlocking(int fd);
 
-// accept() retrying EINTR. Returns the client fd, or -1 with errno set
-// for any other failure (including EAGAIN on a non-blocking listener).
-// The client inherits the default (blocking) mode; only the synchronous
-// serving path should use this.
-int AcceptRetry(int listener);
-
 // accept4(SOCK_NONBLOCK) retrying EINTR: the client socket is born
 // non-blocking, closing the window where a fd accepted on the event-loop
-// thread could block before SetNonBlocking ran. Same return contract as
-// AcceptRetry. This is the only accept the loop thread may call.
+// thread could block before SetNonBlocking ran. Returns the client fd, or
+// -1 with errno set for any other failure (including EAGAIN on a
+// non-blocking listener). This is the only accept the loop thread may call.
 int AcceptNonBlocking(int listener);
 
 // Writes all `len` bytes, retrying EINTR and continuing through short

@@ -54,8 +54,8 @@ int AsyncServer::port() const { return loop_ != nullptr ? loop_->port() : 0; }
 
 void AsyncServer::OnLine(const net::EventLoop::Line& line) {
   // Runs on the loop thread: admission decisions only, never work. Both
-  // rejection paths reuse the blocking server's renderers so bytes and
-  // counters match the synchronous path exactly.
+  // rejection paths reuse Server's renderers so bytes and counters match
+  // the stdin path exactly.
   if (line.oversized) {
     loop_->Send(line.conn, line.seq,
                 server_.RejectOversized(line.observed_bytes));

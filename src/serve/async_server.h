@@ -7,9 +7,9 @@
 // NDJSON request lines (partial reads, oversized-line draining), and
 // writes responses back in per-connection request order. Each complete
 // line is admitted into a bounded queue; workers pop lines, run them
-// through the ordinary blocking Server::HandleLine — so response bytes
-// and traffic counters are identical to the synchronous path by
-// construction — and post the response back to the loop. Align requests
+// through the ordinary Server::HandleLine — so response bytes and traffic
+// counters are identical to the stdin path by construction — and post
+// the response back to the loop. Align requests
 // are routed (via Server's dispatcher seam) through an AlignCoalescer,
 // which merges concurrent align batches into one similarity-index
 // dispatch without changing any response byte.
@@ -17,7 +17,7 @@
 // Admission control, in the order a request meets it:
 //   1. max_connections — excess connects are closed at accept
 //      (net.conn_rejected),
-//   2. oversized lines — rejected by the loop with the blocking path's
+//   2. oversized lines — rejected by the loop with the stdin path's
 //      exact error (serve.oversized),
 //   3. queue_capacity — a full queue rejects immediately with
 //      UNAVAILABLE (serve.rejected); the loop never blocks on a
@@ -71,7 +71,7 @@ struct AsyncServerOptions {
   double batch_wait_ms = 1.0;     // coalescer hold for stragglers
 
   // Protocol-level options (deadline, line cap, registry), shared with
-  // the blocking server so both paths stay configured identically.
+  // the stdin Server so both paths stay configured identically.
   ServerOptions server;
 
   // Test seam: runs in each worker right after dequeue, before the shed

@@ -1,15 +1,12 @@
 #include "serve/server.h"
 
-#include <unistd.h>
-
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
-#include "net/socket_io.h"
-#include "util/logging.h"
 #include "util/parse.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -158,7 +155,8 @@ std::string ErrorResponse(const Status& status) {
                    JsonEscape(status.message()).c_str());
 }
 
-std::string AlignResultJson(const AlignResult& result) {
+// Renders one align result listing at most `max_candidates` candidates.
+std::string AlignResultJson(const AlignResult& result, size_t max_candidates) {
   std::ostringstream out;
   out << "{\"entity\":\"" << JsonEscape(result.source) << "\",\"index\":\""
       << JsonEscape(result.index) << "\",\"aligned\":[";
@@ -166,23 +164,161 @@ std::string AlignResultJson(const AlignResult& result) {
     out << (i == 0 ? "" : ",") << '"' << JsonEscape(result.aligned[i]) << '"';
   }
   out << "],\"candidates\":[";
-  for (size_t i = 0; i < result.candidates.size(); ++i) {
-    out << (i == 0 ? "" : ",") << "{\"entity\":\""
-        << JsonEscape(result.candidates[i].first) << "\",\"score\":"
-        << StrFormat("%.6f", result.candidates[i].second) << "}";
+  size_t shown = 0;
+  for (const auto& [entity, score] : result.candidates) {
+    if (shown == max_candidates) break;
+    out << (shown++ == 0 ? "" : ",") << "{\"entity\":\"" << JsonEscape(entity)
+        << "\",\"score\":" << StrFormat("%.6f", score) << "}";
   }
   out << "]}";
   return out.str();
 }
 
-std::string RequireField(const std::map<std::string, std::string>& fields,
-                         const std::string& key, Status& status) {
+// ------------------------------------------------------------- decoding
+
+using Fields = std::map<std::string, std::string>;
+
+// The protocol's ops. kNone: the line names no op (absent or empty "op");
+// kUnknown: any other name. Each has one serve.op.<name> counter, so
+// hostile op names cannot grow the registry.
+enum class Op { kNone, kUnknown, kAlign, kExplain, kNeighbors, kRepairStatus,
+                kStats, kLoadSnapshot, kEngineStatus, kShutdown };
+
+// One request line decoded into typed fields; only `op`'s fields are set.
+struct Request {
+  Op op = Op::kNone;
+  Deadline deadline = Deadline::None();  // started at decode time
+  std::vector<std::string> entities;     // align: "entity" or "entities"
+  bool batched = false;                  // align: "entities" was given
+  int32_t top_k = 0;  // align "k" in [1, 1000]; 0 = the engine's top_k
+  std::string entity;  // neighbors
+  int32_t side = 1;    // neighbors "side": 1 or 2
+  std::string source;  // explain, repair_status
+  std::string target;  // explain, repair_status
+  std::string dir;     // load_snapshot
+};
+
+// Wire names indexed by Op; the per-op counter is serve.op.<name>.
+constexpr const char* kOpNames[] = {
+    "(none)", "(unknown)", "align",         "explain",       "neighbors",
+    "repair_status", "stats", "load_snapshot", "engine_status", "shutdown"};
+static_assert(std::size(kOpNames) == static_cast<size_t>(Op::kShutdown) + 1,
+              "kOpNames must name every Op");
+
+// The op a parsed request line names.
+Op OpOf(const Fields& fields) {
+  auto it = fields.find("op");
+  if (it == fields.end() || it->second.empty()) return Op::kNone;
+  for (size_t i = static_cast<size_t>(Op::kAlign); i < std::size(kOpNames);
+       ++i) {
+    if (it->second == kOpNames[i]) return static_cast<Op>(i);
+  }
+  return Op::kUnknown;
+}
+
+// The non-empty value of string field `key`.
+StatusOr<std::string> RequiredField(const Fields& fields, const char* key) {
   auto it = fields.find(key);
   if (it == fields.end() || it->second.empty()) {
-    status = Status::InvalidArgument("missing required field: " + key);
-    return "";
+    return Status::InvalidArgument(std::string("missing required field: ") +
+                                   key);
   }
   return it->second;
+}
+
+// Parses optional integer field `key` into `*out`, which an absent field
+// leaves untouched; `allowed` completes "field 'key' must be ...".
+Status OptionalInt32(const Fields& fields, const char* key, int32_t min_value,
+                     int32_t max_value, const char* allowed, int32_t* out) {
+  auto it = fields.find(key);
+  if (it == fields.end()) return Status::Ok();
+  Status parsed = util::ParseInt32(it->second, min_value, max_value, out);
+  if (parsed.ok()) return parsed;
+  return Status::InvalidArgument(
+      StrFormat("field '%s' must be %s: ", key, allowed) + parsed.message());
+}
+
+// Decodes a parsed request line naming `op` (OpOf(fields)) into a Request
+// whose deadline is `deadline_seconds` from now unless the line carries
+// deadline_ms. Fields are checked in a fixed order — deadline_ms, the op,
+// then the op's own fields — and the first failure is returned as
+// INVALID_ARGUMENT naming it.
+StatusOr<Request> DecodeRequest(Op op, const Fields& fields,
+                                double deadline_seconds) {
+  Request request;
+  request.op = op;
+  request.deadline = Deadline(deadline_seconds);
+  // Optional per-request deadline override. The value is client data:
+  // parse it checked and keep it inside [1ms, 1h] so a hostile request
+  // cannot pin a worker forever or wrap the deadline arithmetic.
+  auto deadline_it = fields.find("deadline_ms");
+  if (deadline_it != fields.end()) {
+    constexpr int64_t kMaxDeadlineMs = 3'600'000;
+    int64_t deadline_ms = 0;
+    Status parsed =
+        util::ParseInt64(deadline_it->second, 1, kMaxDeadlineMs, &deadline_ms);
+    if (!parsed.ok()) {
+      return Status::InvalidArgument(
+          "field 'deadline_ms' must be an integer in [1, 3600000]: " +
+          parsed.message());
+    }
+    request.deadline = Deadline(static_cast<double>(deadline_ms) / 1000.0);
+  }
+
+  switch (request.op) {
+    case Op::kNone:
+      return Status::InvalidArgument("unknown op: (none)");
+    case Op::kUnknown:
+      return Status::InvalidArgument("unknown op: " + fields.at("op"));
+    case Op::kAlign: {
+      auto batch_it = fields.find("entities");
+      request.batched = batch_it != fields.end();
+      if (request.batched) {
+        for (const std::string& name : Split(batch_it->second, ',')) {
+          if (!name.empty()) request.entities.push_back(name);
+        }
+      } else {
+        auto entity = RequiredField(fields, "entity");
+        if (!entity.ok()) return entity.status();
+        request.entities = {*entity};
+      }
+      EXEA_RETURN_IF_ERROR(OptionalInt32(fields, "k", 1, 1000,
+                                         "an integer in [1, 1000]",
+                                         &request.top_k));
+      return request;
+    }
+    case Op::kExplain:
+    case Op::kRepairStatus: {
+      // `target` is checked first: a line missing both fields has always
+      // been answered with the error that names `target`.
+      auto target = RequiredField(fields, "target");
+      if (!target.ok()) return target.status();
+      auto source = RequiredField(fields, "source");
+      if (!source.ok()) return source.status();
+      request.source = *source;
+      request.target = *target;
+      return request;
+    }
+    case Op::kNeighbors: {
+      auto entity = RequiredField(fields, "entity");
+      if (!entity.ok()) return entity.status();
+      request.entity = *entity;
+      EXEA_RETURN_IF_ERROR(
+          OptionalInt32(fields, "side", 1, 2, "1 or 2", &request.side));
+      return request;
+    }
+    case Op::kLoadSnapshot: {
+      auto dir = RequiredField(fields, "dir");
+      if (!dir.ok()) return dir.status();
+      request.dir = *dir;
+      return request;
+    }
+    case Op::kStats:
+    case Op::kEngineStatus:
+    case Op::kShutdown:
+      return request;
+  }
+  return Status::Internal("undecodable op");
 }
 
 // Reads one '\n'-terminated line of at most `max_bytes` bytes into `line`.
@@ -207,6 +343,109 @@ bool ReadLineBounded(std::istream& in, size_t max_bytes, std::string& line,
     line.push_back(c);
   }
   return !line.empty();
+}
+
+// ------------------------------------------------------------- handlers
+
+StatusOr<std::string> HandleAlign(const Server::AlignDispatcher& align,
+                                  const Request& request) {
+  auto results = align(request.entities, request.deadline);
+  if (!results.ok()) return results.status();
+  // The candidate cap applies at render time only, so the engine (and the
+  // async path's coalescer, which must stay byte-identical to it) computes
+  // the same results either way.
+  size_t max_candidates =
+      request.top_k == 0 ? SIZE_MAX : static_cast<size_t>(request.top_k);
+  if (!request.batched) {
+    return "{\"ok\":true,\"op\":\"align\",\"result\":" +
+           AlignResultJson((*results)[0], max_candidates) + "}";
+  }
+  std::ostringstream out;
+  out << "{\"ok\":true,\"op\":\"align\",\"results\":[";
+  for (size_t i = 0; i < results->size(); ++i) {
+    out << (i == 0 ? "" : ",")
+        << AlignResultJson((*results)[i], max_candidates);
+  }
+  out << "]}";
+  return out.str();
+}
+
+StatusOr<std::string> HandleExplain(QueryEngine& engine,
+                                    const Request& request) {
+  auto result =
+      engine.Explain(request.source, request.target, request.deadline);
+  if (!result.ok()) return result.status();
+  return StrFormat(
+      "{\"ok\":true,\"op\":\"explain\",\"cache_hit\":%s,"
+      "\"confidence\":%.6f,\"result\":%s}",
+      result->cache_hit ? "true" : "false", result->confidence,
+      result->json.c_str());
+}
+
+StatusOr<std::string> HandleNeighbors(QueryEngine& engine,
+                                      const Request& request) {
+  auto result =
+      engine.Neighbors(request.entity, request.side, request.deadline);
+  if (!result.ok()) return result.status();
+  std::ostringstream out;
+  out << "{\"ok\":true,\"op\":\"neighbors\",\"entity\":\""
+      << JsonEscape(result->entity) << "\",\"edges\":[";
+  for (size_t i = 0; i < result->edges.size(); ++i) {
+    const NeighborEdge& edge = result->edges[i];
+    out << (i == 0 ? "" : ",") << "{\"relation\":\""
+        << JsonEscape(edge.relation) << "\",\"neighbor\":\""
+        << JsonEscape(edge.neighbor) << "\",\"direction\":\""
+        << (edge.outgoing ? "out" : "in") << "\"}";
+  }
+  out << "]}";
+  return out.str();
+}
+
+StatusOr<std::string> HandleRepairStatus(QueryEngine& engine,
+                                         const Request& request) {
+  auto result =
+      engine.RepairStatus(request.source, request.target, request.deadline);
+  if (!result.ok()) return result.status();
+  std::ostringstream out;
+  out << "{\"ok\":true,\"op\":\"repair_status\",\"in_base\":"
+      << (result->in_base ? "true" : "false") << ",\"in_repaired\":"
+      << (result->in_repaired ? "true" : "false") << ",\"verdict\":\""
+      << result->verdict << "\",\"repaired_targets\":[";
+  for (size_t i = 0; i < result->repaired_targets.size(); ++i) {
+    out << (i == 0 ? "" : ",") << '"'
+        << JsonEscape(result->repaired_targets[i]) << '"';
+  }
+  out << "]}";
+  return out.str();
+}
+
+StatusOr<std::string> HandleLoadSnapshot(QueryEngine& engine,
+                                         const Request& request) {
+  // Hot swap. On any failure the engine leaves the current version
+  // serving and the error says why; in-flight requests on other workers
+  // never notice either way.
+  auto epoch = engine.LoadSnapshot(request.dir);
+  if (!epoch.ok()) return epoch.status();
+  EngineStatusResult status = engine.EngineStatus();
+  std::ostringstream out;
+  out << "{\"ok\":true,\"op\":\"load_snapshot\",\"epoch\":" << *epoch
+      << ",\"versions\":" << status.resident_versions
+      << ",\"swaps\":" << status.swaps << "}";
+  return out.str();
+}
+
+std::string EngineStatusJson(const QueryEngine& engine) {
+  EngineStatusResult status = engine.EngineStatus();
+  std::ostringstream out;
+  out << "{\"ok\":true,\"op\":\"engine_status\",\"epoch\":" << status.epoch
+      << ",\"source\":\"" << JsonEscape(status.source)
+      << "\",\"shards\":" << status.shards << ",\"index\":\""
+      << JsonEscape(status.index) << "\",\"index_size\":" << status.index_size
+      << ",\"resident_versions\":" << status.resident_versions
+      << ",\"live_versions\":" << static_cast<uint64_t>(status.live_versions)
+      << ",\"swaps\":" << status.swaps << ",\"explain_cache_size\":"
+      << status.explain_cache_size << "}";
+  return out.str();
 }
 
 }  // namespace
@@ -250,33 +489,46 @@ Server::Server(QueryEngine* engine, const ServerOptions& options)
       deadline_exceeded_(registry_->GetCounter("serve.deadline_exceeded")),
       rejected_(registry_->GetCounter("serve.rejected")),
       shed_(registry_->GetCounter("serve.shed")),
-      latency_ms_(registry_->GetHistogram("serve.latency_ms")) {}
+      latency_ms_(registry_->GetHistogram("serve.latency_ms")),
+      align_dispatcher_([engine](const std::vector<std::string>& entities,
+                                 const Deadline& deadline) {
+        return engine->AlignBatch(entities, deadline);
+      }) {
+  for (const char* name : kOpNames) {
+    op_counters_.push_back(
+        &registry_->GetCounter(std::string("serve.op.") + name));
+  }
+}
 
 std::string Server::RejectOversized(size_t observed_bytes) {
   requests_.Increment();
-  errors_.Increment();
   oversized_.Increment();
-  return ErrorResponse(Status::OutOfRange(
+  return CountError(Status::OutOfRange(
       StrFormat("request line of %zu bytes exceeds the %zu-byte cap",
                 observed_bytes, options_.max_request_bytes)));
 }
 
 std::string Server::RejectQueueFull() {
   requests_.Increment();
-  errors_.Increment();
   rejected_.Increment();
-  return ErrorResponse(
+  return CountError(
       Status::Unavailable("server overloaded: request queue is full"));
 }
 
 std::string Server::ShedExpired(double queue_wait_ms) {
   requests_.Increment();
-  errors_.Increment();
-  deadline_exceeded_.Increment();
   shed_.Increment();
   latency_ms_.Record(queue_wait_ms);
-  return ErrorResponse(Status::DeadlineExceeded(
+  return CountError(Status::DeadlineExceeded(
       "deadline expired before processing (shed from queue)"));
+}
+
+std::string Server::CountError(const Status& status) {
+  errors_.Increment();
+  if (status.code() == StatusCode::kDeadlineExceeded) {
+    deadline_exceeded_.Increment();
+  }
+  return ErrorResponse(status);
 }
 
 std::string Server::HandleLine(const std::string& line) {
@@ -284,242 +536,47 @@ std::string Server::HandleLine(const std::string& line) {
     return RejectOversized(line.size());
   }
   WallTimer timer;
-  std::string response;
-
-  auto fields = ParseFlatJson(line);
-  std::string op;
-  if (fields.ok()) {
-    auto it = fields->find("op");
-    op = it == fields->end() ? "" : it->second;
-  }
-  // Arrival accounting happens before dispatch so a stats response
-  // includes its own request, matching the single-threaded behavior.
-  requests_.Increment();
-  if (!fields.ok()) {
-    malformed_.Increment();
-    errors_.Increment();
-  } else {
-    registry_->GetCounter("serve.op." + (op.empty() ? "(none)" : op))
-        .Increment();
-  }
-  if (!fields.ok()) {
-    response = ErrorResponse(fields.status());
-  } else {
-    Deadline deadline(options_.deadline_seconds);
-    Status field_error = Status::Ok();
-
-    // Optional per-request deadline override. The value is client data:
-    // parse it checked and keep it inside [1ms, 1h] so a hostile request
-    // cannot pin a worker forever or wrap the deadline arithmetic.
-    auto deadline_it = fields->find("deadline_ms");
-    if (deadline_it != fields->end()) {
-      constexpr int64_t kMaxDeadlineMs = 3'600'000;
-      int64_t deadline_ms = 0;
-      Status parsed =
-          util::ParseInt64(deadline_it->second, 1, kMaxDeadlineMs, &deadline_ms);
-      if (!parsed.ok()) {
-        field_error = Status::InvalidArgument(
-            "field 'deadline_ms' must be an integer in [1, 3600000]: " +
-            parsed.message());
-      } else {
-        deadline = Deadline(static_cast<double>(deadline_ms) / 1000.0);
-      }
-    }
-
-    if (!field_error.ok()) {
-      response = ErrorResponse(field_error);
-    } else if (op == "align") {
-      std::vector<std::string> entities;
-      auto batch_it = fields->find("entities");
-      if (batch_it != fields->end()) {
-        for (const std::string& name : Split(batch_it->second, ',')) {
-          if (!name.empty()) entities.push_back(name);
-        }
-      } else {
-        std::string entity = RequireField(*fields, "entity", field_error);
-        if (field_error.ok()) entities.push_back(entity);
-      }
-      // Optional per-request candidate cap. Applied at render time only,
-      // so the engine (and the async path's coalescer, which must stay
-      // byte-identical to the reference server) computes the same results
-      // either way; the response just carries fewer candidates.
-      int top_k = 0;  // 0 = the engine's configured top_k
-      auto k_it = fields->find("k");
-      if (k_it != fields->end() && field_error.ok()) {
-        constexpr int32_t kMaxRequestTopK = 1000;
-        int32_t parsed_k = 0;
-        Status parsed =
-            util::ParseInt32(k_it->second, 1, kMaxRequestTopK, &parsed_k);
-        if (!parsed.ok()) {
-          field_error = Status::InvalidArgument(
-              "field 'k' must be an integer in [1, 1000]: " +
-              parsed.message());
-        } else {
-          top_k = parsed_k;
-        }
-      }
-      if (!field_error.ok()) {
-        response = ErrorResponse(field_error);
-      } else {
-        auto results = align_dispatcher_
-                           ? align_dispatcher_(entities, deadline)
-                           : engine_->AlignBatch(entities, deadline);
-        auto render = [top_k](const AlignResult& result) {
-          if (top_k == 0 ||
-              result.candidates.size() <= static_cast<size_t>(top_k)) {
-            return AlignResultJson(result);
-          }
-          AlignResult trimmed = result;
-          trimmed.candidates.resize(top_k);
-          return AlignResultJson(trimmed);
-        };
-        if (!results.ok()) {
-          response = ErrorResponse(results.status());
-        } else if (batch_it != fields->end()) {
-          std::ostringstream out;
-          out << "{\"ok\":true,\"op\":\"align\",\"results\":[";
-          for (size_t i = 0; i < results->size(); ++i) {
-            out << (i == 0 ? "" : ",") << render((*results)[i]);
-          }
-          out << "]}";
-          response = out.str();
-        } else {
-          response = "{\"ok\":true,\"op\":\"align\",\"result\":" +
-                     render((*results)[0]) + "}";
-        }
-      }
-    } else if (op == "explain") {
-      std::string source = RequireField(*fields, "source", field_error);
-      std::string target = RequireField(*fields, "target", field_error);
-      if (!field_error.ok()) {
-        response = ErrorResponse(field_error);
-      } else {
-        auto result = engine_->Explain(source, target, deadline);
-        if (!result.ok()) {
-          response = ErrorResponse(result.status());
-        } else {
-          response = StrFormat(
-              "{\"ok\":true,\"op\":\"explain\",\"cache_hit\":%s,"
-              "\"confidence\":%.6f,\"result\":%s}",
-              result->cache_hit ? "true" : "false", result->confidence,
-              result->json.c_str());
-        }
-      }
-    } else if (op == "neighbors") {
-      std::string entity = RequireField(*fields, "entity", field_error);
-      // `side` is client data: the old atoi here silently mapped garbage
-      // to side 0, which the engine then rejected with a confusing error
-      // (or worse, would serve if 0 ever became meaningful). Checked
-      // parse → INVALID_ARGUMENT naming the field.
-      int32_t side = 1;
-      auto side_it = fields->find("side");
-      if (side_it != fields->end() && field_error.ok()) {
-        Status parsed = util::ParseInt32(side_it->second, 1, 2, &side);
-        if (!parsed.ok()) {
-          field_error = Status::InvalidArgument(
-              "field 'side' must be 1 or 2: " + parsed.message());
-        }
-      }
-      if (!field_error.ok()) {
-        response = ErrorResponse(field_error);
-      } else {
-        auto result = engine_->Neighbors(entity, side, deadline);
-        if (!result.ok()) {
-          response = ErrorResponse(result.status());
-        } else {
-          std::ostringstream out;
-          out << "{\"ok\":true,\"op\":\"neighbors\",\"entity\":\""
-              << JsonEscape(result->entity) << "\",\"edges\":[";
-          for (size_t i = 0; i < result->edges.size(); ++i) {
-            const NeighborEdge& edge = result->edges[i];
-            out << (i == 0 ? "" : ",") << "{\"relation\":\""
-                << JsonEscape(edge.relation) << "\",\"neighbor\":\""
-                << JsonEscape(edge.neighbor) << "\",\"direction\":\""
-                << (edge.outgoing ? "out" : "in") << "\"}";
-          }
-          out << "]}";
-          response = out.str();
-        }
-      }
-    } else if (op == "repair_status") {
-      std::string source = RequireField(*fields, "source", field_error);
-      std::string target = RequireField(*fields, "target", field_error);
-      if (!field_error.ok()) {
-        response = ErrorResponse(field_error);
-      } else {
-        auto result = engine_->RepairStatus(source, target, deadline);
-        if (!result.ok()) {
-          response = ErrorResponse(result.status());
-        } else {
-          std::ostringstream out;
-          out << "{\"ok\":true,\"op\":\"repair_status\",\"in_base\":"
-              << (result->in_base ? "true" : "false") << ",\"in_repaired\":"
-              << (result->in_repaired ? "true" : "false") << ",\"verdict\":\""
-              << result->verdict << "\",\"repaired_targets\":[";
-          for (size_t i = 0; i < result->repaired_targets.size(); ++i) {
-            out << (i == 0 ? "" : ",") << '"'
-                << JsonEscape(result->repaired_targets[i]) << '"';
-          }
-          out << "]}";
-          response = out.str();
-        }
-      }
-    } else if (op == "stats") {
-      response = "{\"ok\":true,\"op\":\"stats\",\"stats\":" + StatsJson() +
-                 "}";
-    } else if (op == "load_snapshot") {
-      std::string dir = RequireField(*fields, "dir", field_error);
-      if (!field_error.ok()) {
-        response = ErrorResponse(field_error);
-      } else {
-        // Hot swap. On any failure the engine leaves the current version
-        // serving and the error says why; in-flight requests on other
-        // workers never notice either way.
-        auto epoch = engine_->LoadSnapshot(dir);
-        if (!epoch.ok()) {
-          response = ErrorResponse(epoch.status());
-        } else {
-          EngineStatusResult status = engine_->EngineStatus();
-          std::ostringstream out;
-          out << "{\"ok\":true,\"op\":\"load_snapshot\",\"epoch\":" << *epoch
-              << ",\"versions\":" << status.resident_versions
-              << ",\"swaps\":" << status.swaps << "}";
-          response = out.str();
-        }
-      }
-    } else if (op == "engine_status") {
-      EngineStatusResult status = engine_->EngineStatus();
-      std::ostringstream out;
-      out << "{\"ok\":true,\"op\":\"engine_status\",\"epoch\":"
-          << status.epoch << ",\"source\":\"" << JsonEscape(status.source)
-          << "\",\"shards\":" << status.shards << ",\"index\":\""
-          << JsonEscape(status.index) << "\",\"index_size\":"
-          << status.index_size << ",\"resident_versions\":"
-          << status.resident_versions << ",\"live_versions\":"
-          << static_cast<uint64_t>(status.live_versions)
-          << ",\"swaps\":" << status.swaps << ",\"explain_cache_size\":"
-          << status.explain_cache_size << "}";
-      response = out.str();
-    } else if (op == "shutdown") {
-      shutdown_requested_ = true;
-      response = "{\"ok\":true,\"op\":\"shutdown\"}";
-    } else {
-      response = ErrorResponse(Status::InvalidArgument(
-          "unknown op: " + (op.empty() ? "(none)" : op)));
-    }
-  }
-
-  bool succeeded = StartsWith(response, "{\"ok\":true");
-  if (succeeded) {
+  StatusOr<std::string> response = Respond(line);
+  std::string out;
+  if (response.ok()) {
     ok_.Increment();
-  } else if (fields.ok()) {  // malformed already counted above
-    errors_.Increment();
-    if (response.find("\"DEADLINE_EXCEEDED\"") != std::string::npos) {
-      deadline_exceeded_.Increment();
-    }
+    out = std::move(response).value();
+  } else {
+    out = CountError(response.status());
   }
   latency_ms_.Record(timer.ElapsedMillis());
-  return response;
+  return out;
+}
+
+StatusOr<std::string> Server::Respond(const std::string& line) {
+  // Arrival accounting happens before dispatch so a stats response
+  // includes its own request.
+  requests_.Increment();
+  auto fields = ParseFlatJson(line);
+  if (!fields.ok()) {
+    malformed_.Increment();
+    return fields.status();
+  }
+  Op op = OpOf(*fields);
+  op_counters_[static_cast<size_t>(op)]->Increment();
+  auto request = DecodeRequest(op, *fields, options_.deadline_seconds);
+  if (!request.ok()) return request.status();
+  switch (request->op) {
+    case Op::kAlign: return HandleAlign(align_dispatcher_, *request);
+    case Op::kExplain: return HandleExplain(*engine_, *request);
+    case Op::kNeighbors: return HandleNeighbors(*engine_, *request);
+    case Op::kRepairStatus: return HandleRepairStatus(*engine_, *request);
+    case Op::kStats:
+      return "{\"ok\":true,\"op\":\"stats\",\"stats\":" + StatsJson() + "}";
+    case Op::kLoadSnapshot: return HandleLoadSnapshot(*engine_, *request);
+    case Op::kEngineStatus: return EngineStatusJson(*engine_);
+    case Op::kShutdown:
+      shutdown_requested_ = true;
+      return std::string("{\"ok\":true,\"op\":\"shutdown\"}");
+    case Op::kNone:
+    case Op::kUnknown: break;  // DecodeRequest rejects both
+  }
+  return Status::Internal("request decoded without a handler");
 }
 
 std::string Server::StatsJson() const {
@@ -559,13 +616,9 @@ std::string Server::StatsJson() const {
       << StrFormat(",\"latency_p50_ms\":%.3f,\"latency_p99_ms\":%.3f",
                    latency.p50, latency.p99)
       << ",\"per_op\":{";
-  bool first = true;
-  const std::string prefix = "serve.op.";
-  for (const auto& [name, count] :
-       registry_->CountersWithPrefix(prefix)) {
-    out << (first ? "" : ",") << '"'
-        << JsonEscape(name.substr(prefix.size())) << "\":" << count;
-    first = false;
+  for (size_t i = 0; i < op_counters_.size(); ++i) {
+    out << (i == 0 ? "" : ",") << '"' << kOpNames[i]
+        << "\":" << op_counters_[i]->Value();
   }
   out << "},\"metrics\":" << registry_->ToJson() << "}";
   return out.str();
@@ -587,48 +640,6 @@ void Server::Serve(std::istream& in, std::ostream& out) {
   }
   std::fprintf(stderr, "server exiting; final stats: %s\n",
                StatsJson().c_str());
-}
-
-Status Server::ServeTcp(int port) {
-  // A real backlog (not the historical 1) so a connect burst queues in
-  // the kernel while the previous client finishes, instead of being
-  // refused before accept() ever runs.
-  auto listener = net::ListenOn(port, net::kListenBacklog);
-  if (!listener.ok()) return listener.status();
-  auto bound = net::BoundPort(*listener);
-  if (!bound.ok()) {
-    // The listener is already live; dropping the fd here would leak it
-    // for the life of the process (and hold the port).
-    ::close(*listener);
-    return bound.status();
-  }
-  std::fprintf(stderr, "listening on 127.0.0.1:%d\n", *bound);
-
-  while (!shutdown_requested_) {
-    int client = net::AcceptRetry(*listener);
-    if (client < 0) continue;
-    net::LineReader reader(client);
-    std::string request;
-    bool truncated;
-    size_t truncated_bytes;
-    while (!shutdown_requested_ &&
-           reader.ReadLine(options_.max_request_bytes, &request, &truncated,
-                           &truncated_bytes)) {
-      if (!truncated && Trim(request).empty()) continue;
-      std::string response = truncated ? RejectOversized(truncated_bytes)
-                                       : HandleLine(request);
-      response += '\n';
-      // A client that vanished mid-response is that client's problem, not
-      // the serving loop's: WriteAll already survived EINTR/short writes
-      // and MSG_NOSIGNAL kept EPIPE from becoming SIGPIPE. Move on.
-      if (!net::WriteAll(client, response).ok()) break;
-    }
-    ::close(client);
-  }
-  ::close(*listener);
-  std::fprintf(stderr, "server exiting; final stats: %s\n",
-               StatsJson().c_str());
-  return Status::Ok();
 }
 
 }  // namespace exea::serve

@@ -1,6 +1,6 @@
 // The serving request loop: newline-delimited JSON, one request per line,
-// one response line per request, over stdin/stdout (exea_cli serve) or an
-// optional localhost TCP listener.
+// one response line per request, over stdin/stdout (exea_cli serve) or,
+// through AsyncServer, localhost TCP.
 //
 // Requests (flat JSON objects, string values):
 //   {"op":"align","entity":"zh/Foo"}
@@ -18,6 +18,10 @@
 // unknown request produces an error response — never a crash, never loop
 // termination. Every request is subject to the configured deadline; an
 // over-deadline request answers with code DEADLINE_EXCEEDED.
+//
+// Each line is parsed (ParseFlatJson), decoded once into a typed request,
+// and answered by its op's handler as a StatusOr; the Status code alone
+// decides how the outcome is counted.
 //
 // The server records its traffic into an obs::Registry (requests, per-op
 // counts, errors, cache hits/misses via the engine, and a latency
@@ -38,7 +42,6 @@
 
 #include "obs/metrics.h"
 #include "serve/engine.h"
-#include "util/check.h"
 #include "util/status.h"
 
 namespace exea::serve {
@@ -93,14 +96,10 @@ class Server {
   // can converse synchronously). Dumps the stats to stderr on exit.
   void Serve(std::istream& in, std::ostream& out);
 
-  // Listens on 127.0.0.1:`port`, serving one client connection at a time
-  // with the same protocol, until a client sends {"op":"shutdown"}.
-  [[nodiscard]] Status ServeTcp(int port);
-
   // The registry this server's metrics live in:
   //   serve.requests / .ok / .errors / .malformed / .oversized /
   //   .deadline_exceeded                      counters
-  //   serve.op.<op>                           per-op request counters
+  //   serve.op.<op>                           one request counter per op
   //   serve.latency_ms                        histogram over all requests
   const obs::Registry& registry() const { return *registry_; }
 
@@ -138,6 +137,11 @@ class Server {
   std::string ShedExpired(double queue_wait_ms);
 
  private:
+  // Counts the line's arrival, decodes it and runs its op's handler.
+  [[nodiscard]] StatusOr<std::string> Respond(const std::string& line);
+  // Counts a failed request by its Status code and renders the response.
+  std::string CountError(const Status& status);
+
   QueryEngine* engine_;
   ServerOptions options_;
   std::atomic<bool> shutdown_requested_{false};
@@ -155,7 +159,8 @@ class Server {
   obs::Counter& rejected_;   // admission rejections (queue full)
   obs::Counter& shed_;       // dequeued with an already-expired deadline
   obs::Histogram& latency_ms_;
-  AlignDispatcher align_dispatcher_;  // empty → engine_->AlignBatch
+  std::vector<obs::Counter*> op_counters_;  // serve.op.<name>, one per op
+  AlignDispatcher align_dispatcher_;  // engine_->AlignBatch by default
 };
 
 }  // namespace exea::serve

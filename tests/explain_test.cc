@@ -6,6 +6,8 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -476,6 +478,51 @@ TEST_F(ExplainerTest, RelationEmbeddingFallbackForGcn) {
             dataset_->kg1.num_relations());
   EXPECT_EQ(explainer.relation_embeddings1().cols(),
             gcn->EntityEmbeddings(kg::KgSide::kSource).cols());
+}
+
+// One explainer shared by concurrent callers, as the serving workers share
+// it: cold pairs fill the path memo from several threads at once, and every
+// answer must equal the serial one. ci/check.sh runs this under TSAN.
+TEST_F(ExplainerTest, ConcurrentColdExplainsMatchSerial) {
+  kg::AlignmentSet gold_set;
+  for (const auto& [s, t] : dataset_->gold) gold_set.Add(s, t);
+  AlignmentContext context(&gold_set, &dataset_->train);
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPairs = 40;
+  ASSERT_GE(dataset_->test.size(), kPairs);
+
+  struct Answer {
+    std::vector<kg::Triple> triples1;
+    std::vector<kg::Triple> triples2;
+    double confidence = 0.0;
+  };
+  auto explain = [&](const ExeaExplainer& explainer, size_t i) {
+    const kg::AlignedPair& pair = dataset_->test[i];
+    Explanation e = explainer.Explain(pair.source, pair.target, context);
+    return Answer{e.triples1, e.triples2, explainer.BuildAdg(e).confidence};
+  };
+
+  ExeaExplainer serial(*dataset_, *model_, ExeaConfig{});
+  std::vector<Answer> expected;
+  for (size_t i = 0; i < kPairs; ++i) expected.push_back(explain(serial, i));
+
+  ExeaExplainer shared(*dataset_, *model_, ExeaConfig{});
+  std::vector<Answer> answers(kPairs);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < kPairs; i += kThreads) {
+        answers[i] = explain(shared, i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t i = 0; i < kPairs; ++i) {
+    EXPECT_EQ(answers[i].triples1, expected[i].triples1) << "pair " << i;
+    EXPECT_EQ(answers[i].triples2, expected[i].triples2) << "pair " << i;
+    EXPECT_EQ(answers[i].confidence, expected[i].confidence) << "pair " << i;
+  }
 }
 
 TEST(ExeaConfigTest, BetaIsSigmoidTheta) {

@@ -1159,6 +1159,40 @@ TEST_F(ServerTest, OverDeadlineRequestAnswersAndLoopContinues) {
   EXPECT_EQ(stats.rfind("{\"ok\":true,\"op\":\"stats\"", 0), 0u);
 }
 
+// Outcomes are counted from the handler's Status code, not by searching
+// the response text: a NOT_FOUND whose message happens to end in
+// "DEADLINE_EXCEEDED (the client chose the entity name) is an error, not a
+// timeout.
+TEST_F(ServerTest, DeadlineCounterFollowsStatusCodeNotResponseText) {
+  StartServer();
+  std::string response = server_->HandleLine(
+      "{\"op\":\"align\",\"entity\":\"\\\"DEADLINE_EXCEEDED\"}");
+  EXPECT_NE(response.find("\"NOT_FOUND\""), std::string::npos) << response;
+  EXPECT_NE(response.find("\"DEADLINE_EXCEEDED\""), std::string::npos)
+      << "the request no longer exercises text matching: " << response;
+  EXPECT_EQ(registry_.CounterValue("serve.errors"), 1u);
+  EXPECT_EQ(registry_.CounterValue("serve.deadline_exceeded"), 0u);
+}
+
+// Per-op counters come from a fixed table: every unknown op name shares
+// serve.op.(unknown), so a client cycling through fresh names cannot grow
+// the registry.
+TEST_F(ServerTest, UnknownOpsShareOneCounter) {
+  StartServer();
+  for (int i = 0; i < 1000; ++i) {
+    std::string response =
+        server_->HandleLine(StrFormat("{\"op\":\"frob%d\"}", i));
+    ASSERT_NE(response.find("unknown op: frob"), std::string::npos)
+        << response;
+  }
+  // align, explain, neighbors, repair_status, stats, load_snapshot,
+  // engine_status, shutdown, (none), (unknown).
+  constexpr size_t kOpTableSize = 10;
+  EXPECT_LE(registry_.CountersWithPrefix("serve.op.").size(), kOpTableSize);
+  EXPECT_EQ(registry_.CounterValue("serve.op.(unknown)"), 1000u);
+  EXPECT_EQ(registry_.CounterValue("serve.errors"), 1000u);
+}
+
 // Pulls one "key":number value out of a flat JSON stats line.
 double JsonNumber(const std::string& json, const std::string& key) {
   std::string needle = "\"" + key + "\":";

@@ -32,11 +32,10 @@
 //             --index=ivf also trains and persists the IVF coarse quantizer.
 //   serve     --bundle BUNDLE [--port N] [--deadline-ms N] [--cache N]
 //             [--topk N] [--index auto|exact|ivf] [--workers N]
-//             [--queue N] [--max-conns N] [--max-batch N] [--blocking]
+//             [--queue N] [--max-conns N] [--max-batch N]
 //             Load a snapshot bundle and answer newline-delimited JSON
-//             queries on stdin/stdout (or on 127.0.0.1:PORT with --port;
-//             the TCP path runs the concurrent async core unless
-//             --blocking asks for the single-client loop).
+//             queries on stdin/stdout (or, with --port, on 127.0.0.1:PORT
+//             through the concurrent async core).
 //   bench-recall  [--rows N] [--dim N] [--queries N] [--k N] [--clusters N]
 //             [--seed N]
 //             Synthetic recall@k vs. QPS sweep: exact scan vs. the IVF
@@ -189,7 +188,6 @@ const char* SubcommandHelp(const std::string& command) {
            "  [--cache N] [--topk N] [--index auto|exact|ivf]\n"
            "  [--shards N] [--resident N]\n"
            "  [--workers N] [--queue N] [--max-conns N] [--max-batch N]\n"
-           "  [--blocking]\n"
            "  Load a snapshot bundle and answer newline-delimited JSON\n"
            "  requests on stdin/stdout, one response line per request\n"
            "  (or on 127.0.0.1:PORT with --port). Ops: align, explain,\n"
@@ -201,9 +199,8 @@ const char* SubcommandHelp(const std::string& command) {
            "  With --port the concurrent async core serves: --workers\n"
            "  request threads behind a --queue-bounded admission queue\n"
            "  (full queue => UNAVAILABLE), at most --max-conns clients,\n"
-           "  align micro-batched up to --max-batch rows per dispatch.\n"
-           "  --blocking falls back to the single-client synchronous\n"
-           "  loop; responses are byte-identical either way.\n"
+           "  align micro-batched up to --max-batch rows per dispatch;\n"
+           "  responses are byte-identical to the stdin path.\n"
            "  --shards N partitions the target table row-wise across N\n"
            "  per-shard indexes searched in parallel; results are\n"
            "  bit-identical to --shards 1 on the exact path. --resident N\n"
@@ -684,12 +681,6 @@ int CmdServe(const Flags& flags) {
       static_cast<double>(flags.GetInt("deadline-ms", 5000)) / 1e3;
   if (flags.Has("port")) {
     int port = static_cast<int>(flags.GetInt("port", 0));
-    if (flags.Has("blocking")) {
-      serve::Server server(engine->get(), server_options);
-      Status status = server.ServeTcp(port);
-      if (!status.ok()) return Fail(status.ToString());
-      return 0;
-    }
     serve::AsyncServerOptions async_options;
     async_options.server = server_options;
     async_options.workers = static_cast<size_t>(flags.GetInt("workers", 4));
@@ -833,16 +824,19 @@ void ClassifyResponse(const std::string& line, LoadTally& tally) {
   ++tally.received;
   if (StartsWith(line, "{\"ok\":true")) {
     ++tally.ok;
-  } else if (StartsWith(line, "{\"ok\":false")) {
-    if (line.find("\"UNAVAILABLE\"") != std::string::npos) {
-      ++tally.unavailable;
-    } else if (line.find("\"DEADLINE_EXCEEDED\"") != std::string::npos) {
-      ++tally.deadline_exceeded;
-    } else {
-      ++tally.other_errors;
-    }
-  } else {
+    return;
+  }
+  // Error responses are flat objects: classify them by their "code" field,
+  // since the message may quote any code name.
+  auto error = serve::ParseFlatJson(line);
+  if (!error.ok() || (*error)["ok"] != "false") {
     ++tally.malformed;
+  } else if ((*error)["code"] == "UNAVAILABLE") {
+    ++tally.unavailable;
+  } else if ((*error)["code"] == "DEADLINE_EXCEEDED") {
+    ++tally.deadline_exceeded;
+  } else {
+    ++tally.other_errors;
   }
 }
 
