@@ -263,42 +263,6 @@ void BM_BoundedQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedQueuePushPop)->Threads(1)->Threads(4);
 
-// The coalescer's win, measured directly: one AlignResolved dispatch with
-// N rows vs. N single-row dispatches. items/sec is rows served — the gap
-// between rows:1 and rows:32 is the fixed per-dispatch cost the coalescer
-// amortizes across concurrent requests.
-void BM_AlignResolvedBatch(benchmark::State& state) {
-  static serve::QueryEngine* engine = [] {
-    auto opened = serve::QueryEngine::Open(BundleDir(),
-                                           serve::EngineOptions{});
-    if (!opened.ok()) {
-      std::fprintf(stderr, "engine open failed: %s\n",
-                   opened.status().ToString().c_str());
-      std::abort();
-    }
-    return opened->release();
-  }();
-  State& s = GetState();
-  std::vector<kg::AlignedPair> pairs = s.aligned.SortedPairs();
-  size_t rows = static_cast<size_t>(state.range(0));
-  std::vector<kg::EntityId> ids;
-  std::vector<std::string> names;
-  for (size_t i = 0; i < rows; ++i) {
-    const kg::AlignedPair& pair = pairs[i % pairs.size()];
-    ids.push_back(pair.source);
-    names.push_back(s.dataset.kg1.EntityName(pair.source));
-  }
-  std::shared_ptr<const serve::ServingState> pinned = engine->AcquireState();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->AlignResolved(*pinned, ids, names));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_AlignResolvedBatch)
-    ->Arg(1)->Arg(8)->Arg(32)
-    ->ArgName("rows");
-
 // The hot-swap cost: read + validate + rebuild the serving state and
 // install it, per swap. This is the zero-downtime path — readers never
 // block on it — so what matters is throughput (swaps stay off the
@@ -342,18 +306,16 @@ void BM_ShardedEngineTopK(benchmark::State& state) {
   serve::QueryEngine* engine = opened->get();
   State& s = GetState();
   std::vector<kg::AlignedPair> pairs = s.aligned.SortedPairs();
-  std::vector<kg::EntityId> ids;
   std::vector<std::string> names;
   for (size_t i = 0; i < 32 && i < pairs.size(); ++i) {
-    ids.push_back(pairs[i].source);
     names.push_back(s.dataset.kg1.EntityName(pairs[i].source));
   }
-  std::shared_ptr<const serve::ServingState> pinned = engine->AcquireState();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->AlignResolved(*pinned, ids, names));
+    benchmark::DoNotOptimize(
+        engine->AlignBatch(names, serve::Deadline::None()));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(ids.size()));
+                          static_cast<int64_t>(names.size()));
 }
 BENCHMARK(BM_ShardedEngineTopK)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)

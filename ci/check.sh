@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repo's verification gate, runnable locally or in CI. Four stages:
+# The repo's verification gate, runnable locally or in CI. Six stages:
 #
 #   1. tier-1: full configure + build + ctest (the acceptance bar every
 #      change must keep green),
@@ -17,20 +17,25 @@
 #      drive the async serving core with 8 concurrent clients — the run
 #      fails on any malformed or dropped response (exea_cli bench-load
 #      exits non-zero),
-#   4. tsan: a ThreadSanitizer pass over the concurrency-sensitive suites
+#   4. e2ebench: build the end-to-end benchmark from source and run its
+#      self-tests in reduced mode (python3 e2ebench/test_e2ebench.py) —
+#      the benchmark compiles against the serving API, so an edit there
+#      that breaks it fails here, not in a later benchmark run,
+#   5. tsan: a ThreadSanitizer pass over the concurrency-sensitive suites
 #      — the worker-pool kernels (parallel_test), the obs metrics registry
 #      (obs_test), the event loop / bounded queue (net_test), the
 #      explainer's path memo shared by concurrent explains (explain_test,
 #      ConcurrentColdExplainsMatchSerial), and the serving engine's shared
 #      LRU cache / async request path / snapshot hot-swap churn
-#      (serve_test, incl. SwapChurnWhileAlignsStayInFlight and
+#      (serve_test, incl. SwapChurnWhileAlignsStayInFlight,
+#      ConcurrentAlignsMatchHandleLine and
 #      HotSwapUnderConcurrentLoadDropsNothing),
-#   5. asan+ubsan: the full ctest suite under AddressSanitizer +
+#   6. asan+ubsan: the full ctest suite under AddressSanitizer +
 #      UndefinedBehaviorSanitizer with EXEA_DCHECKS=ON, so the contract
 #      layer (src/util/check.h) is exercised together with the
 #      instrumentation.
 #
-# Usage: ci/check.sh [--fast]   (--fast runs stages 1-3 only)
+# Usage: ci/check.sh [--fast]   (--fast runs stages 1-4 only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,6 +116,13 @@ mkdir -p "${SMOKE_DIR}/data"
 ./build/tools/exea_cli bench-load --bundle "${SMOKE_DIR}/bundle" \
   --clients 8 --requests 25 --op mixed \
   --swap-bundle "${SMOKE_DIR}/bundle_alt" --swaps 5
+
+echo "=== e2ebench: build + self-test (reduced mode) ==="
+# Builds the benchmark (Release, into the ignored .bench_build/) and runs
+# every workload at reduced size: each declared metric printed with its
+# unit, the byte-compare gate failing on one corrupted response, and the
+# refusal to run without the sources.
+python3 e2ebench/test_e2ebench.py
 
 if [[ "${FAST}" == 1 ]]; then
   echo "=== fast mode: skipping sanitizer matrix ==="

@@ -1,30 +1,18 @@
 #include "serve/async_server.h"
 
 #include <utility>
-#include <vector>
 
 namespace exea::serve {
 
 AsyncServer::AsyncServer(QueryEngine* engine,
                          const AsyncServerOptions& options)
-    : engine_(engine),
-      options_(options),
+    : options_(options),
       registry_(options.server.registry != nullptr
                     ? options.server.registry
                     : engine->mutable_registry()),
       server_(engine, options.server),
-      coalescer_(engine, CoalescerOptions{options.max_batch,
-                                          options.batch_wait_ms, registry_}),
       admission_queue_(options.queue_capacity),
-      queue_depth_(registry_->GetGauge("serve.queue_depth")) {
-  // HandleLine stays the single protocol implementation; only the align
-  // dispatch is rerouted, into the shared micro-batcher.
-  server_.set_align_dispatcher(
-      [this](const std::vector<std::string>& sources,
-             const Deadline& deadline) {
-        return coalescer_.Align(sources, deadline);
-      });
-}
+      queue_depth_(registry_->GetGauge("serve.queue_depth")) {}
 
 AsyncServer::~AsyncServer() { Shutdown(); }
 

@@ -9,10 +9,9 @@
 // line is admitted into a bounded queue; workers pop lines, run them
 // through the ordinary Server::HandleLine — so response bytes and traffic
 // counters are identical to the stdin path by construction — and post
-// the response back to the loop. Align requests
-// are routed (via Server's dispatcher seam) through an AlignCoalescer,
-// which merges concurrent align batches into one similarity-index
-// dispatch without changing any response byte.
+// the response back to the loop. An align runs its own top-k on the
+// worker that dequeued it, as on the stdin path: there is no
+// cross-request batching and no hold.
 //
 // Admission control, in the order a request meets it:
 //   1. max_connections — excess connects are closed at accept
@@ -33,10 +32,9 @@
 // admitted request is answered.
 //
 // The workers get their own ThreadPool instance, NOT util/parallel.h's
-// process-wide pool: workers block in queue pops and in coalescer waits,
-// and parking blocking loops on the shared pool would starve the
-// engine's ParallelFor kernels (nested calls would inline, but the
-// workers never finish).
+// process-wide pool: workers block in queue pops, and parking blocking
+// loops on the shared pool would starve the engine's ParallelFor kernels
+// (nested calls would inline, but the workers never finish).
 
 #ifndef EXEA_SERVE_ASYNC_SERVER_H_
 #define EXEA_SERVE_ASYNC_SERVER_H_
@@ -53,7 +51,6 @@
 #include "net/bounded_queue.h"
 #include "net/event_loop.h"
 #include "obs/metrics.h"
-#include "serve/coalescer.h"
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "util/check.h"
@@ -67,8 +64,11 @@ struct AsyncServerOptions {
   size_t workers = 4;
   size_t queue_capacity = 1024;   // admission bound (requests)
   size_t max_connections = 256;   // concurrent client cap
-  size_t max_batch = 32;          // coalescer rows per dispatch
-  double batch_wait_ms = 1.0;     // coalescer hold for stragglers
+
+  // Fixed, not settable: one request per top-k dispatch and no hold.
+  // Kept only because e2ebench prints both in its context line.
+  static constexpr size_t max_batch = 1;
+  static constexpr double batch_wait_ms = 0.0;
 
   // Protocol-level options (deadline, line cap, registry), shared with
   // the stdin Server so both paths stay configured identically.
@@ -124,11 +124,9 @@ class AsyncServer {
   void WorkerLoop();
   void TeardownOnce();
 
-  QueryEngine* engine_;
   AsyncServerOptions options_;
   obs::Registry* registry_;  // never null; resolved like Server's
   Server server_;
-  AlignCoalescer coalescer_;
   net::BoundedQueue<Request> admission_queue_;
   std::unique_ptr<net::EventLoop> loop_;
   std::thread loop_thread_;

@@ -153,15 +153,51 @@ StatusOr<AlignResult> QueryEngine::Align(const std::string& source,
 
 StatusOr<std::vector<AlignResult>> QueryEngine::AlignBatch(
     const std::vector<std::string>& sources, const Deadline& deadline) const {
-  // One pinned version for both stages: ids resolved here index the
-  // same tables AlignResolved reads, even if a swap lands in between.
+  // One pinned version throughout: the ids resolved here index the same
+  // tables the top-k below reads, even if a swap lands in between.
   std::shared_ptr<const ServingState> state = AcquireState();
   auto ids = ResolveAlignBatch(*state, sources);
   if (!ids.ok()) return ids.status();
   if (deadline.Expired()) {
     return Status::DeadlineExceeded("align: deadline expired before lookup");
   }
-  return AlignResolved(*state, *ids, sources);
+  const SnapshotBundle& bundle = state->bundle();
+
+  // One batched top-k dispatch for all queries; the similarity kernel
+  // splits the query rows over the worker pool.
+  la::Matrix queries(ids->size(), bundle.emb1.cols());
+  for (size_t i = 0; i < ids->size(); ++i) {
+    // Resolved ids index the embedding table directly; snapshot-load
+    // consistency (rows == entity count) makes this hold WITHIN one
+    // pinned state, and a violation here would hand Row() out-of-table
+    // memory — always-on check.
+    EXEA_CHECK_LT((*ids)[i], bundle.emb1.rows());
+    const float* row = bundle.emb1.Row((*ids)[i]);
+    std::copy(row, row + bundle.emb1.cols(), queries.Row(i));
+  }
+  std::vector<std::vector<la::ScoredIndex>> topk;
+  {
+    obs::Span span(registry_, "serve.align_topk");
+    topk = state->index().TopKAll(queries, options_.top_k);
+  }
+
+  std::vector<AlignResult> results;
+  results.reserve(ids->size());
+  for (size_t i = 0; i < ids->size(); ++i) {
+    AlignResult result;
+    result.source = sources[i];
+    result.index = state->index().name();
+    for (kg::EntityId target : bundle.repaired.TargetsOf((*ids)[i])) {
+      result.aligned.push_back(bundle.dataset.kg2.EntityName(target));
+    }
+    for (const la::ScoredIndex& candidate : topk[i]) {
+      result.candidates.emplace_back(
+          bundle.dataset.kg2.EntityName(candidate.index),
+          static_cast<double>(candidate.score));
+    }
+    results.push_back(std::move(result));
+  }
+  return results;
 }
 
 StatusOr<std::vector<kg::EntityId>> QueryEngine::ResolveAlignBatch(
@@ -177,49 +213,6 @@ StatusOr<std::vector<kg::EntityId>> QueryEngine::ResolveAlignBatch(
     ids.push_back(*id);
   }
   return ids;
-}
-
-std::vector<AlignResult> QueryEngine::AlignResolved(
-    const ServingState& state, const std::vector<kg::EntityId>& ids,
-    const std::vector<std::string>& names) const {
-  EXEA_CHECK_EQ(ids.size(), names.size());
-  const SnapshotBundle& bundle = state.bundle();
-
-  // One batched top-k dispatch for all queries; the similarity kernel
-  // splits the query rows over the worker pool.
-  la::Matrix queries(ids.size(), bundle.emb1.cols());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    // Resolved ids index the embedding table directly; snapshot-load
-    // consistency (rows == entity count) makes this hold WITHIN one
-    // pinned state, and a violation here would hand Row() out-of-table
-    // memory — always-on check.
-    EXEA_CHECK_LT(ids[i], bundle.emb1.rows());
-    const float* row = bundle.emb1.Row(ids[i]);
-    std::copy(row, row + bundle.emb1.cols(), queries.Row(i));
-  }
-  std::vector<std::vector<la::ScoredIndex>> topk;
-  {
-    obs::Span span(registry_, "serve.align_topk");
-    topk = state.index().TopKAll(queries, options_.top_k);
-  }
-
-  std::vector<AlignResult> results;
-  results.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    AlignResult result;
-    result.source = names[i];
-    result.index = state.index().name();
-    for (kg::EntityId target : bundle.repaired.TargetsOf(ids[i])) {
-      result.aligned.push_back(bundle.dataset.kg2.EntityName(target));
-    }
-    for (const la::ScoredIndex& candidate : topk[i]) {
-      result.candidates.emplace_back(
-          bundle.dataset.kg2.EntityName(candidate.index),
-          static_cast<double>(candidate.score));
-    }
-    results.push_back(std::move(result));
-  }
-  return results;
 }
 
 StatusOr<ExplainResult> QueryEngine::Explain(const std::string& source,

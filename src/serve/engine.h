@@ -192,30 +192,18 @@ class QueryEngine {
                               const Deadline& deadline) const;
 
   // Batched variant: one TopKAll dispatch for all sources (the thread
-  // pool splits the rows), then per-source assembly. Composed of the two
-  // stages below; callers that batch across independent requests (the
-  // micro-batching coalescer) use the stages directly — against ONE
-  // pinned state — so each request keeps its own error semantics while
-  // sharing one dispatch.
+  // pool splits the rows), then per-source assembly. InvalidArgument for
+  // an empty batch, NOT_FOUND (failing the whole batch) for any unknown
+  // name. Row i of the result depends only on sources[i], never on what
+  // else shares the dispatch.
   [[nodiscard]] StatusOr<std::vector<AlignResult>> AlignBatch(
       const std::vector<std::string>& sources, const Deadline& deadline) const;
 
-  // Stage 1 of AlignBatch: name resolution against `state` with
-  // AlignBatch's exact error semantics — InvalidArgument for an empty
-  // batch, NOT_FOUND (failing the whole batch) for any unknown name.
+  // AlignBatch's name-resolution stage alone, against `state`, with the
+  // same error semantics. Public so a caller can time resolution apart
+  // from the top-k (e2ebench's layer probes do).
   [[nodiscard]] StatusOr<std::vector<kg::EntityId>> ResolveAlignBatch(
       const ServingState& state, const std::vector<std::string>& sources) const;
-
-  // Stage 2 of AlignBatch: one top-k dispatch over already-resolved ids,
-  // then per-row assembly. `state` must be the state the ids were
-  // resolved against (ids index its tables directly). `names` are the
-  // display names, parallel to `ids`. Row i of the result depends only
-  // on ids[i] — never on what else shares the dispatch — which is what
-  // makes coalescing requests into one call byte-identical to serving
-  // them alone (serve_test pins this).
-  [[nodiscard]] std::vector<AlignResult> AlignResolved(
-      const ServingState& state, const std::vector<kg::EntityId>& ids,
-      const std::vector<std::string>& names) const;
 
   // `source` in KG1, `target` in KG2, both by name.
   [[nodiscard]] StatusOr<ExplainResult> Explain(const std::string& source,

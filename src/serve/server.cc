@@ -347,13 +347,12 @@ bool ReadLineBounded(std::istream& in, size_t max_bytes, std::string& line,
 
 // ------------------------------------------------------------- handlers
 
-StatusOr<std::string> HandleAlign(const Server::AlignDispatcher& align,
+StatusOr<std::string> HandleAlign(const QueryEngine& engine,
                                   const Request& request) {
-  auto results = align(request.entities, request.deadline);
+  auto results = engine.AlignBatch(request.entities, request.deadline);
   if (!results.ok()) return results.status();
-  // The candidate cap applies at render time only, so the engine (and the
-  // async path's coalescer, which must stay byte-identical to it) computes
-  // the same results either way.
+  // The candidate cap applies at render time only: the engine computes
+  // the same results for every k.
   size_t max_candidates =
       request.top_k == 0 ? SIZE_MAX : static_cast<size_t>(request.top_k);
   if (!request.batched) {
@@ -489,11 +488,7 @@ Server::Server(QueryEngine* engine, const ServerOptions& options)
       deadline_exceeded_(registry_->GetCounter("serve.deadline_exceeded")),
       rejected_(registry_->GetCounter("serve.rejected")),
       shed_(registry_->GetCounter("serve.shed")),
-      latency_ms_(registry_->GetHistogram("serve.latency_ms")),
-      align_dispatcher_([engine](const std::vector<std::string>& entities,
-                                 const Deadline& deadline) {
-        return engine->AlignBatch(entities, deadline);
-      }) {
+      latency_ms_(registry_->GetHistogram("serve.latency_ms")) {
   for (const char* name : kOpNames) {
     op_counters_.push_back(
         &registry_->GetCounter(std::string("serve.op.") + name));
@@ -562,7 +557,7 @@ StatusOr<std::string> Server::Respond(const std::string& line) {
   auto request = DecodeRequest(op, *fields, options_.deadline_seconds);
   if (!request.ok()) return request.status();
   switch (request->op) {
-    case Op::kAlign: return HandleAlign(align_dispatcher_, *request);
+    case Op::kAlign: return HandleAlign(*engine_, *request);
     case Op::kExplain: return HandleExplain(*engine_, *request);
     case Op::kNeighbors: return HandleNeighbors(*engine_, *request);
     case Op::kRepairStatus: return HandleRepairStatus(*engine_, *request);

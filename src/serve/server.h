@@ -34,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -73,13 +72,6 @@ struct ServerOptions {
 
 class Server {
  public:
-  // How align batches reach the engine. The default dispatcher is
-  // QueryEngine::AlignBatch; the async server swaps in the micro-batching
-  // coalescer, which shares one index dispatch across concurrent
-  // requests while returning byte-identical per-request results.
-  using AlignDispatcher = std::function<StatusOr<std::vector<AlignResult>>(
-      const std::vector<std::string>&, const Deadline&)>;
-
   // Borrows `engine`, which must outlive the server.
   Server(QueryEngine* engine, const ServerOptions& options);
 
@@ -110,12 +102,6 @@ class Server {
 
   // True once a {"op":"shutdown"} request has been handled.
   bool shutdown_requested() const { return shutdown_requested_.load(); }
-
-  // Replaces the align dispatch path. Call before serving traffic; the
-  // dispatcher must be safe to invoke from multiple threads.
-  void set_align_dispatcher(AlignDispatcher dispatcher) {
-    align_dispatcher_ = std::move(dispatcher);
-  }
 
   // Counts and renders the rejection of a line longer than
   // options_.max_request_bytes. Public so transports that do their own
@@ -160,7 +146,6 @@ class Server {
   obs::Counter& shed_;       // dequeued with an already-expired deadline
   obs::Histogram& latency_ms_;
   std::vector<obs::Counter*> op_counters_;  // serve.op.<name>, one per op
-  AlignDispatcher align_dispatcher_;  // engine_->AlignBatch by default
 };
 
 }  // namespace exea::serve

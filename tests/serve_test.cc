@@ -32,7 +32,6 @@
 #include "repair/pipeline.h"
 #include "la/similarity_index.h"
 #include "serve/async_server.h"
-#include "serve/coalescer.h"
 #include "serve/engine.h"
 #include "serve/explain_cache.h"
 #include "serve/server.h"
@@ -1235,131 +1234,6 @@ TEST_F(ServerTest, StatsPercentilesSeeSamplesPastTheOldCap) {
             kOldCap + slow + 2);
 }
 
-// ------------------------------------------------------------- coalescer
-
-class CoalescerTest : public ServeTest {
- protected:
-  void OpenEngine() {
-    serve::EngineOptions engine_options;
-    engine_options.registry = &registry_;
-    auto engine = serve::QueryEngine::Open(WriteBundle(), engine_options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    engine_ = std::move(*engine);
-  }
-
-  serve::CoalescerOptions Options(double wait_ms, size_t max_batch = 32) {
-    serve::CoalescerOptions options;
-    options.max_wait_ms = wait_ms;
-    options.max_batch = max_batch;
-    options.registry = &registry_;
-    return options;
-  }
-
-  obs::Registry registry_;
-  std::unique_ptr<serve::QueryEngine> engine_;
-};
-
-// Field-by-field equality, which for doubles means bit-equality: the
-// coalescer's contract is *byte*-identity, not approximate agreement.
-void ExpectSameAlignResults(const std::vector<serve::AlignResult>& got,
-                            const std::vector<serve::AlignResult>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].source, want[i].source);
-    EXPECT_EQ(got[i].aligned, want[i].aligned);
-    EXPECT_EQ(got[i].candidates, want[i].candidates);
-    EXPECT_EQ(got[i].index, want[i].index);
-  }
-}
-
-TEST_F(CoalescerTest, SoloRequestMatchesAlignBatchExactly) {
-  OpenEngine();
-  serve::AlignCoalescer coalescer(engine_.get(), Options(/*wait_ms=*/0));
-  kg::AlignedPair pair = ServedPair();
-  std::vector<std::string> sources = {
-      Pipeline().dataset.kg1.EntityName(pair.source)};
-
-  auto batched = coalescer.Align(sources, serve::Deadline(5.0));
-  auto direct = engine_->AlignBatch(sources, serve::Deadline(5.0));
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  ExpectSameAlignResults(*batched, *direct);
-  EXPECT_EQ(registry_.CounterValue("serve.batch.ticks"), 1u);
-}
-
-TEST_F(CoalescerTest, ConcurrentCallersShareDispatchesByteIdentically) {
-  OpenEngine();
-  // A generous hold so every thread below lands in the leader's window;
-  // the assertion tolerates a straggler getting its own dispatch anyway.
-  serve::AlignCoalescer coalescer(engine_.get(), Options(/*wait_ms=*/100.0));
-
-  std::vector<kg::AlignedPair> pairs = Pipeline().repaired.SortedPairs();
-  constexpr size_t kCallers = 4;
-  ASSERT_GE(pairs.size(), kCallers);
-  std::vector<std::string> names(kCallers);
-  for (size_t i = 0; i < kCallers; ++i) {
-    names[i] = Pipeline().dataset.kg1.EntityName(pairs[i].source);
-  }
-
-  std::vector<std::vector<serve::AlignResult>> rows(kCallers);
-  std::vector<std::thread> threads;
-  for (size_t i = 0; i < kCallers; ++i) {
-    threads.emplace_back([&, i] {
-      auto result = coalescer.Align({names[i]}, serve::Deadline(5.0));
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      rows[i] = std::move(*result);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-
-  // Every caller got exactly the bytes a solo AlignBatch would produce,
-  // no matter which dispatch its row rode.
-  for (size_t i = 0; i < kCallers; ++i) {
-    auto solo = engine_->AlignBatch({names[i]}, serve::Deadline(5.0));
-    ASSERT_TRUE(solo.ok());
-    ExpectSameAlignResults(rows[i], *solo);
-  }
-
-  // At least two callers shared a dispatch, and the histogram saw every
-  // row: coalescing actually happened and accounted for all the work.
-  uint64_t ticks = registry_.CounterValue("serve.batch.ticks");
-  EXPECT_GE(ticks, 1u);
-  EXPECT_LT(ticks, kCallers);
-  obs::Histogram::Snapshot sizes =
-      registry_.HistogramSnapshot("serve.batch.size");
-  EXPECT_EQ(sizes.count, ticks);
-  EXPECT_EQ(sizes.sum, static_cast<double>(kCallers));
-}
-
-TEST_F(CoalescerTest, UnknownEntityFailsAloneWithAlignBatchStatus) {
-  OpenEngine();
-  serve::AlignCoalescer coalescer(engine_.get(), Options(/*wait_ms=*/0));
-  auto batched = coalescer.Align({"zh/NoSuchEntity"}, serve::Deadline(5.0));
-  auto direct = engine_->AlignBatch({"zh/NoSuchEntity"}, serve::Deadline(5.0));
-  ASSERT_FALSE(batched.ok());
-  ASSERT_FALSE(direct.ok());
-  EXPECT_EQ(batched.status().ToString(), direct.status().ToString());
-  // The failed resolution never reached the index.
-  EXPECT_EQ(registry_.CounterValue("serve.batch.ticks"), 0u);
-}
-
-TEST_F(CoalescerTest, DrainShedsRequestsThatExpiredInTheBatchWindow) {
-  OpenEngine();
-  // The hold (80ms) outlives the deadline (20ms): the request is admitted
-  // alive, goes stale while the leader waits, and must be shed at drain
-  // with AlignBatch's pre-lookup status — and zero index work.
-  serve::AlignCoalescer coalescer(engine_.get(), Options(/*wait_ms=*/80.0));
-  kg::AlignedPair pair = ServedPair();
-  std::string name = Pipeline().dataset.kg1.EntityName(pair.source);
-
-  auto result = coalescer.Align({name}, serve::Deadline(0.02));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(result.status().ToString().find("deadline expired before lookup"),
-            std::string::npos);
-  EXPECT_EQ(registry_.CounterValue("serve.batch.ticks"), 0u);
-}
-
 // ----------------------------------------------------------- async server
 
 // A blocking NDJSON client against the async server, built on the same
@@ -1444,8 +1318,8 @@ TEST_F(AsyncServerTest, ServedBytesMatchHandleLineForEveryOp) {
   std::string other = Pipeline().dataset.kg1.EntityName(pairs[1].source);
 
   // The reference: an ordinary blocking Server over the same engine. The
-  // async path routes align through the coalescer and everything through
-  // the queue and worker pool — none of which may change a single byte.
+  // async path runs every op through the loop, the queue and a worker —
+  // none of which may change a single byte.
   serve::Server reference(engine_.get(), serve::ServerOptions{});
 
   std::vector<std::string> requests = {
@@ -1483,6 +1357,51 @@ TEST_F(AsyncServerTest, ServedBytesMatchHandleLineForEveryOp) {
     std::string expected = reference.HandleLine(request);
     EXPECT_EQ(served, expected) << "request: " << request;
   }
+}
+
+// Concurrent aligns over TCP: each worker runs its own top-k while the
+// others run theirs, and no response may differ by a byte from
+// HandleLine's on the same engine. TSAN runs this in CI.
+TEST_F(AsyncServerTest, ConcurrentAlignsMatchHandleLine) {
+  StartAsync();
+  serve::Server reference(engine_.get(), serve::ServerOptions{});
+  std::vector<std::string> requests;
+  std::vector<std::string> expected;
+  for (kg::EntityId e = 0; e < Pipeline().dataset.kg1.num_entities(); ++e) {
+    requests.push_back(StrFormat(
+        "{\"op\":\"align\",\"entity\":\"%s\"}",
+        Pipeline().dataset.kg1.EntityName(e).c_str()));
+    expected.push_back(reference.HandleLine(requests.back()));
+  }
+  ASSERT_FALSE(requests.empty());
+
+  // Every client streams the whole entity list, starting at its own
+  // offset, before reading any response back, so the workers always have
+  // aligns from several connections to run at once. The admission queue
+  // holds all of them, so none is refused.
+  constexpr size_t kClients = 4;
+  ASSERT_LE(kClients * requests.size(),
+            serve::AsyncServerOptions{}.queue_capacity);
+  std::atomic<size_t> matched{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      size_t offset = c * requests.size() / kClients;
+      AsyncClient client(async_->port());
+      ASSERT_TRUE(client.connected());
+      for (size_t i = 0; i < requests.size(); ++i) {
+        ASSERT_TRUE(client.Send(requests[(offset + i) % requests.size()]));
+      }
+      for (size_t i = 0; i < requests.size(); ++i) {
+        size_t at = (offset + i) % requests.size();
+        std::string served = client.ReadLine();
+        ASSERT_EQ(served, expected[at]) << "request: " << requests[at];
+        matched.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(matched.load(), kClients * requests.size());
 }
 
 TEST_F(AsyncServerTest, HostileNumericFieldsRejectWithoutAllocating) {
@@ -1676,7 +1595,7 @@ TEST_F(AsyncServerTest, ConcurrentClientChurnServesEveryReader) {
 }
 
 // Swap-under-load over the real TCP path: clients stream align requests
-// through the epoll loop + workers + coalescer while another connection
+// through the epoll loop and workers while another connection
 // hot-swaps the engine between two genuinely different bundles. Every
 // response must be well-formed and ok — a swap is invisible to in-flight
 // traffic except for which version answers. TSAN runs this in CI.

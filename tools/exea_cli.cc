@@ -32,10 +32,11 @@
 //             --index=ivf also trains and persists the IVF coarse quantizer.
 //   serve     --bundle BUNDLE [--port N] [--deadline-ms N] [--cache N]
 //             [--topk N] [--index auto|exact|ivf] [--workers N]
-//             [--queue N] [--max-conns N] [--max-batch N]
+//             [--queue N] [--max-conns N]
 //             Load a snapshot bundle and answer newline-delimited JSON
 //             queries on stdin/stdout (or, with --port, on 127.0.0.1:PORT
-//             through the concurrent async core).
+//             through the concurrent async core, where each align runs on
+//             the worker that dequeued it).
 //   bench-recall  [--rows N] [--dim N] [--queries N] [--k N] [--clusters N]
 //             [--seed N]
 //             Synthetic recall@k vs. QPS sweep: exact scan vs. the IVF
@@ -187,7 +188,7 @@ const char* SubcommandHelp(const std::string& command) {
     return "exea_cli serve --bundle BUNDLE [--port N] [--deadline-ms N]\n"
            "  [--cache N] [--topk N] [--index auto|exact|ivf]\n"
            "  [--shards N] [--resident N]\n"
-           "  [--workers N] [--queue N] [--max-conns N] [--max-batch N]\n"
+           "  [--workers N] [--queue N] [--max-conns N]\n"
            "  Load a snapshot bundle and answer newline-delimited JSON\n"
            "  requests on stdin/stdout, one response line per request\n"
            "  (or on 127.0.0.1:PORT with --port). Ops: align, explain,\n"
@@ -198,9 +199,10 @@ const char* SubcommandHelp(const std::string& command) {
            "  every align response and the stats op.\n"
            "  With --port the concurrent async core serves: --workers\n"
            "  request threads behind a --queue-bounded admission queue\n"
-           "  (full queue => UNAVAILABLE), at most --max-conns clients,\n"
-           "  align micro-batched up to --max-batch rows per dispatch;\n"
-           "  responses are byte-identical to the stdin path.\n"
+           "  (full queue => UNAVAILABLE), at most --max-conns clients;\n"
+           "  each request, align included, runs whole on the worker\n"
+           "  that dequeued it, and responses are byte-identical to the\n"
+           "  stdin path.\n"
            "  --shards N partitions the target table row-wise across N\n"
            "  per-shard indexes searched in parallel; results are\n"
            "  bit-identical to --shards 1 on the exact path. --resident N\n"
@@ -228,7 +230,7 @@ const char* SubcommandHelp(const std::string& command) {
     return "exea_cli bench-load --bundle BUNDLE [--clients N] "
            "[--requests N]\n"
            "  [--pipeline N] [--op align|explain|stats|mixed]\n"
-           "  [--deadline-ms N] [--workers N] [--queue N] [--max-batch N]\n"
+           "  [--deadline-ms N] [--workers N] [--queue N]\n"
            "  [--swap-bundle DIR] [--swaps N]\n"
            "exea_cli bench-load --port N [--clients N] [--requests N]\n"
            "  [--pipeline N]\n"
@@ -237,6 +239,8 @@ const char* SubcommandHelp(const std::string& command) {
            "  from --bundle (kernel-assigned port, no port races), or an\n"
            "  already-running server with --port (stats op only).\n"
            "  --pipeline K keeps up to K requests in flight per client.\n"
+           "  --workers and --queue size the self-hosted server as they\n"
+           "  do for `exea_cli serve`, with the same defaults.\n"
            "  Prints one machine-greppable result line (QPS, reject and\n"
            "  shed counts, p50/p99 latency) and exits non-zero if any\n"
            "  response is malformed or missing.\n"
@@ -649,6 +653,14 @@ int CmdSnapshot(const Flags& flags) {
   return 0;
 }
 
+// Sets `*value` from the size flag `name` when it is given. The field's
+// current value is the default, so the option struct's own defaults are
+// the one source for serve and bench-load alike.
+void ReadSizeFlag(const Flags& flags, const char* name, size_t* value) {
+  *value = static_cast<size_t>(
+      flags.GetInt(name, static_cast<int64_t>(*value)));
+}
+
 int CmdServe(const Flags& flags) {
   std::string bundle_dir = flags.GetString("bundle", "");
   if (bundle_dir.empty()) return Fail("--bundle is required");
@@ -683,13 +695,9 @@ int CmdServe(const Flags& flags) {
     int port = static_cast<int>(flags.GetInt("port", 0));
     serve::AsyncServerOptions async_options;
     async_options.server = server_options;
-    async_options.workers = static_cast<size_t>(flags.GetInt("workers", 4));
-    async_options.queue_capacity =
-        static_cast<size_t>(flags.GetInt("queue", 1024));
-    async_options.max_connections =
-        static_cast<size_t>(flags.GetInt("max-conns", 256));
-    async_options.max_batch =
-        static_cast<size_t>(flags.GetInt("max-batch", 32));
+    ReadSizeFlag(flags, "workers", &async_options.workers);
+    ReadSizeFlag(flags, "queue", &async_options.queue_capacity);
+    ReadSizeFlag(flags, "max-conns", &async_options.max_connections);
     serve::AsyncServer server(engine->get(), async_options);
     Status status = server.Start(port);
     if (!status.ok()) return Fail(status.ToString());
@@ -975,11 +983,8 @@ int CmdBenchLoad(const Flags& flags) {
     serve::AsyncServerOptions async_options;
     async_options.server.deadline_seconds =
         static_cast<double>(flags.GetInt("deadline-ms", 5000)) / 1e3;
-    async_options.workers = static_cast<size_t>(flags.GetInt("workers", 4));
-    async_options.queue_capacity =
-        static_cast<size_t>(flags.GetInt("queue", 1024));
-    async_options.max_batch =
-        static_cast<size_t>(flags.GetInt("max-batch", 32));
+    ReadSizeFlag(flags, "workers", &async_options.workers);
+    ReadSizeFlag(flags, "queue", &async_options.queue_capacity);
     hosted = std::make_unique<serve::AsyncServer>(engine.get(),
                                                   async_options);
     Status started = hosted->Start(0);
