@@ -25,11 +25,13 @@
 #      — the worker-pool kernels (parallel_test), the obs metrics registry
 #      (obs_test), the event loop / bounded queue (net_test), the
 #      explainer's path memo shared by concurrent explains (explain_test,
-#      ConcurrentColdExplainsMatchSerial), and the serving engine's shared
+#      ConcurrentColdExplainsMatchSerial), the serving engine's shared
 #      LRU cache / async request path / snapshot hot-swap churn
 #      (serve_test, incl. SwapChurnWhileAlignsStayInFlight,
 #      ConcurrentAlignsMatchHandleLine and
-#      HotSwapUnderConcurrentLoadDropsNothing),
+#      HotSwapUnderConcurrentLoadDropsNothing), the SIMD kernels under
+#      the parallel similarity scans (simd_test), and the exact, IVF and
+#      sharded indexes queried from pool workers (index_test),
 #   6. asan+ubsan: the full ctest suite under AddressSanitizer +
 #      UndefinedBehaviorSanitizer with EXEA_DCHECKS=ON, so the contract
 #      layer (src/util/check.h) is exercised together with the
@@ -147,12 +149,13 @@ cmake -B build-asan -S . -DEXEA_SANITIZE=address,undefined -DEXEA_DCHECKS=ON
 cmake --build build-asan -j"${JOBS}"
 (cd build-asan && ctest --output-on-failure -j"${JOBS}")
 
-echo "=== asan+ubsan: EXEA_SIMD=scalar leg (simd_test + index_test + determinism_test) ==="
+echo "=== asan+ubsan: EXEA_SIMD=scalar leg (simd_test + index_test + determinism_test + SimilarityTest) ==="
 # The forced-scalar leg proves the dispatch override path and the scalar
 # kernels themselves are sanitizer-clean, and that the bit-identity tests
-# hold when the process STARTS at the scalar level (not just when a test
+# (including the streaming top-k against its full-sort reference) hold
+# when the process STARTS at the scalar level (not just when a test
 # switches to it mid-run).
 (cd build-asan && EXEA_SIMD=scalar ctest --output-on-failure -j"${JOBS}" \
-  -R 'SimdTest|IndexTest|IndexEdgeTest|DeterminismTest')
+  -R 'SimdTest|IndexTest|IndexEdgeTest|DeterminismTest|SimilarityTest')
 
 echo "=== all checks passed ==="

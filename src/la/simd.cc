@@ -46,6 +46,13 @@ float DotScalar(const float* a, const float* b, size_t n) {
   return sum;
 }
 
+void DotRowsScalar(const float* q, const float* rows, size_t count, size_t n,
+                   float* out) {
+  for (size_t r = 0; r < count; ++r) {
+    out[r] = DotScalar(q, rows + r * n, n);
+  }
+}
+
 // Elementwise with no cross-lane reduction, so plain left-to-right
 // double arithmetic is already the canonical order.
 void CslsAdjustRowScalar(const float* sim, double r_src, const double* r_tgt,
@@ -55,7 +62,8 @@ void CslsAdjustRowScalar(const float* sim, double r_src, const double* r_tgt,
   }
 }
 
-constexpr SimdOps kScalarOps = {DotScalar, CslsAdjustRowScalar};
+constexpr SimdOps kScalarOps = {DotScalar, DotRowsScalar,
+                                 CslsAdjustRowScalar};
 
 // Resolves the startup level once: explicit EXEA_SIMD wins, otherwise
 // the best supported level. Unsupported or unknown requests fall back

@@ -51,6 +51,13 @@ struct SimdOps {
   // Inner product of a[0..n) and b[0..n) in the canonical lane-blocked
   // reduction order described above.
   float (*dot)(const float* a, const float* b, size_t n);
+  // One query against `count` consecutive rows of length n (row-major,
+  // stride n): out[r] = dot(q, rows + r * n, n). Each row is reduced in
+  // exactly dot's lane order, so every out[r] has the same bytes as the
+  // per-row dot call; the AVX2 kernel only interleaves the accumulators
+  // of four rows to share the query loads.
+  void (*dot_rows)(const float* q, const float* rows, size_t count, size_t n,
+                   float* out);
   // CSLS row adjustment: dst[j] = float(2.0 * sim[j] - r_src - r_tgt[j])
   // for j in [0, n), all intermediate arithmetic in double.
   void (*csls_adjust_row)(const float* sim, double r_src,

@@ -16,17 +16,12 @@ namespace {
 
 constexpr size_t kLanes = 8;
 
-float DotAvx2(const float* a, const float* b, size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t main = n - n % kLanes;
-  for (size_t i = 0; i < main; i += kLanes) {
-    __m256 va = _mm256_loadu_ps(a + i);
-    __m256 vb = _mm256_loadu_ps(b + i);
-    // mul + add, never fmadd (see file comment).
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-  }
-  // Horizontal tree reduce; the scalar kernel replays this exact shape:
-  // s_l = acc_l + acc_{l+4}, t_e = s_e + s_{e+2}, sum = t_0 + t_1.
+// Reduces the lane accumulators of a[0..main) . b[0..main) and adds the
+// tail [main, n) sequentially. The horizontal tree is the shape the
+// scalar kernel replays: s_l = acc_l + acc_{l+4}, t_e = s_e + s_{e+2},
+// sum = t_0 + t_1.
+inline float FinishDot(__m256 acc, const float* a, const float* b,
+                       size_t main, size_t n) {
   __m128 lo = _mm256_castps256_ps128(acc);
   __m128 hi = _mm256_extractf128_ps(acc, 1);
   __m128 s = _mm_add_ps(lo, hi);
@@ -38,6 +33,51 @@ float DotAvx2(const float* a, const float* b, size_t n) {
     sum += a[i] * b[i];
   }
   return sum;
+}
+
+float DotAvx2(const float* a, const float* b, size_t n) {
+  __m256 acc = _mm256_setzero_ps();
+  size_t main = n - n % kLanes;
+  for (size_t i = 0; i < main; i += kLanes) {
+    __m256 va = _mm256_loadu_ps(a + i);
+    __m256 vb = _mm256_loadu_ps(b + i);
+    // mul + add, never fmadd (see file comment).
+    acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
+  }
+  return FinishDot(acc, a, b, main, n);
+}
+
+// Four rows per pass share each query load; every row keeps its own
+// accumulator and goes through FinishDot, so each output is the exact
+// DotAvx2 result for that row. Leftover rows fall back to DotAvx2.
+void DotRowsAvx2(const float* q, const float* rows, size_t count, size_t n,
+                 float* out) {
+  size_t main = n - n % kLanes;
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const float* r0 = rows + r * n;
+    const float* r1 = r0 + n;
+    const float* r2 = r1 + n;
+    const float* r3 = r2 + n;
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    for (size_t i = 0; i < main; i += kLanes) {
+      __m256 vq = _mm256_loadu_ps(q + i);
+      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vq, _mm256_loadu_ps(r0 + i)));
+      acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(vq, _mm256_loadu_ps(r1 + i)));
+      acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(vq, _mm256_loadu_ps(r2 + i)));
+      acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(vq, _mm256_loadu_ps(r3 + i)));
+    }
+    out[r] = FinishDot(acc0, q, r0, main, n);
+    out[r + 1] = FinishDot(acc1, q, r1, main, n);
+    out[r + 2] = FinishDot(acc2, q, r2, main, n);
+    out[r + 3] = FinishDot(acc3, q, r3, main, n);
+  }
+  for (; r < count; ++r) {
+    out[r] = DotAvx2(q, rows + r * n, n);
+  }
 }
 
 // Four doubles per vector; the arithmetic is purely elementwise
@@ -59,7 +99,7 @@ void CslsAdjustRowAvx2(const float* sim, double r_src, const double* r_tgt,
   }
 }
 
-constexpr SimdOps kAvx2Ops = {DotAvx2, CslsAdjustRowAvx2};
+constexpr SimdOps kAvx2Ops = {DotAvx2, DotRowsAvx2, CslsAdjustRowAvx2};
 
 }  // namespace
 

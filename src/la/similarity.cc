@@ -16,6 +16,10 @@ namespace {
 // thread count; each row is written by exactly one task.
 constexpr size_t kRowGrain = 16;
 
+// Table rows scored per dot_rows call in TopKRangeWithNorms; the scores
+// live in a stack buffer of this many floats.
+constexpr size_t kScoreBlock = 256;
+
 }  // namespace
 
 // Precomputes per-row inverse norms; zero rows get 0 so their similarity
@@ -51,8 +55,8 @@ bool ScoredLess(const ScoredIndex& a, const ScoredIndex& b) {
 
 // Scores one query against every table row (with precomputed table
 // inverse norms) and keeps the top k. Shared by the single-query and
-// all-queries entry points, and by ExactIndex / the IVF re-rank in
-// similarity_index.cc.
+// all-queries entry points, and by ExactIndex / the IVF centroid probe
+// in similarity_index.cc.
 std::vector<ScoredIndex> TopKWithNorms(const float* query, const Matrix& table,
                                        const std::vector<float>& inv_table,
                                        size_t k) {
@@ -71,21 +75,38 @@ std::vector<ScoredIndex> TopKRangeWithNorms(const float* query,
   EXEA_DCHECK_LE(row_end, table.rows());
   EXEA_DCHECK_EQ(inv_range.size(), row_end - row_begin);
   const SimdOps& ops = ActiveSimdOps();
-  float qnorm = std::sqrt(ops.dot(query, query, table.cols()));
+  const size_t dim = table.cols();
+  float qnorm = std::sqrt(ops.dot(query, query, dim));
   float qinv = qnorm > 1e-12f ? 1.0f / qnorm : 0.0f;
-  std::vector<ScoredIndex> scored;
-  scored.reserve(row_end - row_begin);
-  for (size_t j = row_begin; j < row_end; ++j) {
-    scored.push_back({static_cast<uint32_t>(j),
-                      ops.dot(query, table.Row(j), table.cols()) * qinv *
-                          inv_range[j - row_begin]});
+  // A bounded max-heap under ScoredLess: its front is the worst row kept
+  // so far, and a row enters only if it ranks strictly before that one.
+  // ScoredLess is a strict total order, so the kept set and its sorted
+  // order are exactly the prefix a full sort would return.
+  const size_t keep = std::min(k, row_end - row_begin);
+  std::vector<ScoredIndex> heap;
+  heap.reserve(keep);
+  if (keep == 0) return heap;
+  float dots[kScoreBlock];
+  for (size_t block = row_begin; block < row_end; block += kScoreBlock) {
+    size_t count = std::min(kScoreBlock, row_end - block);
+    ops.dot_rows(query, table.Row(block), count, dim, dots);
+    const float* inv = inv_range.data() + (block - row_begin);
+    for (size_t r = 0; r < count; ++r) {
+      ScoredIndex candidate{static_cast<uint32_t>(block + r),
+                            (dots[r] * qinv) * inv[r]};
+      if (heap.size() < keep) {
+        heap.push_back(candidate);
+        std::push_heap(heap.begin(), heap.end(), ScoredLess);
+      } else if (ScoredLess(candidate, heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), ScoredLess);
+        heap.back() = candidate;
+        std::push_heap(heap.begin(), heap.end(), ScoredLess);
+      }
+    }
   }
-  size_t keep = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
-                    ScoredLess);
-  scored.resize(keep);
-  EXEA_DCHECK_LE(scored.size(), k);
-  return scored;
+  std::sort_heap(heap.begin(), heap.end(), ScoredLess);
+  EXEA_DCHECK_EQ(heap.size(), keep);
+  return heap;
 }
 
 Matrix CosineSimilarityMatrix(const Matrix& a, const Matrix& b) {
@@ -98,10 +119,10 @@ Matrix CosineSimilarityMatrix(const Matrix& a, const Matrix& b) {
   EXEA_DCHECK_EQ(inv_b.size(), b.rows());
   Matrix out(a.rows(), b.rows());
   util::ParallelFor(0, a.rows(), kRowGrain, [&](size_t i) {
-    const float* arow = a.Row(i);
     float* orow = out.Row(i);
+    ops.dot_rows(a.Row(i), b.data().data(), b.rows(), a.cols(), orow);
     for (size_t j = 0; j < b.rows(); ++j) {
-      orow[j] = ops.dot(arow, b.Row(j), a.cols()) * inv_a[i] * inv_b[j];
+      orow[j] = (orow[j] * inv_a[i]) * inv_b[j];
     }
   });
   return out;

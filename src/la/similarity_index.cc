@@ -70,7 +70,8 @@ ExactIndex::ExactIndex(const Matrix* table, size_t row_begin, size_t row_end,
       row_begin_(row_begin),
       row_end_(row_end),
       inv_norms_(RowInverseNormsRange(*table, row_begin, row_end)),
-      registry_(registry) {
+      registry_(registry),
+      queries_(Reg(registry).GetCounter("index.exact.queries")) {
   EXEA_CHECK(table != nullptr);
   EXEA_CHECK_LE(row_begin_, row_end_);
   EXEA_CHECK_LE(row_end_, table_->rows());
@@ -82,7 +83,7 @@ std::vector<std::vector<ScoredIndex>> ExactIndex::TopKAll(
     const Matrix& queries, size_t k) const {
   obs::Span span(registry_, "la.index.exact.topk");
   EXEA_CHECK_EQ(queries.cols(), table_->cols());
-  Reg(registry_).GetCounter("index.exact.queries").Increment(queries.rows());
+  queries_.Increment(queries.rows());
   std::vector<std::vector<ScoredIndex>> out(queries.rows());
   util::ParallelFor(0, queries.rows(), kRowGrain, [&](size_t i) {
     out[i] = TopKRangeWithNorms(queries.Row(i), *table_, inv_norms_,
@@ -357,9 +358,13 @@ IvfIndex::IvfIndex(const Matrix* table, const IvfIndexData* data,
     : table_(table),
       data_(data),
       inv_norms_(RowInverseNorms(*table)),
+      centroid_inv_norms_(RowInverseNorms(data->centroids)),
       nprobe_(data->nprobe),
       indexed_rows_(0),
-      registry_(registry) {
+      registry_(registry),
+      queries_(Reg(registry).GetCounter("index.ivf.queries")),
+      probes_(Reg(registry).GetCounter("index.recall_probe")),
+      candidates_(Reg(registry).GetCounter("index.ivf.candidates")) {
   EXEA_CHECK(table != nullptr);
   EXEA_CHECK(data != nullptr);
   EXEA_CHECK(!data->empty());
@@ -385,14 +390,12 @@ std::vector<std::vector<ScoredIndex>> IvfIndex::TopKAll(const Matrix& queries,
   // Stage 1 — probe: rank centroids per query, keep the nprobe nearest.
   // Centroid scoring reuses the exact top-k machinery, so probe order
   // ties break on the lower centroid id like every other ranking.
-  std::vector<float> centroid_inv = RowInverseNorms(data_->centroids);
   std::vector<std::vector<ScoredIndex>> probes(nq);
   {
     obs::Span probe_span(registry_, "probe");
     util::ParallelFor(0, nq, kRowGrain, [&](size_t i) {
-      probes[i] =
-          TopKWithNorms(queries.Row(i), data_->centroids, centroid_inv,
-                        nprobe_);
+      probes[i] = TopKWithNorms(queries.Row(i), data_->centroids,
+                                centroid_inv_norms_, nprobe_);
     });
   }
 
@@ -424,12 +427,11 @@ std::vector<std::vector<ScoredIndex>> IvfIndex::TopKAll(const Matrix& queries,
     });
   }
 
-  obs::Registry& reg = Reg(registry_);
-  reg.GetCounter("index.ivf.queries").Increment(nq);
-  reg.GetCounter("index.recall_probe").Increment(nq * nprobe_);
+  queries_.Increment(nq);
+  probes_.Increment(nq * nprobe_);
   size_t candidates = 0;
   for (size_t s : scanned) candidates += s;
-  reg.GetCounter("index.ivf.candidates").Increment(candidates);
+  candidates_.Increment(candidates);
   return out;
 }
 
@@ -438,16 +440,23 @@ std::vector<std::vector<ScoredIndex>> IvfIndex::TopKAll(const Matrix& queries,
 // ---------------------------------------------------------------------------
 
 ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<SimilarityIndex>> shards,
-                           std::string metric_prefix, obs::Registry* registry)
-    : shards_(std::move(shards)),
-      metric_prefix_(std::move(metric_prefix)),
-      registry_(registry) {
+                           const std::string& metric_prefix,
+                           obs::Registry* registry)
+    : shards_(std::move(shards)) {
   EXEA_CHECK(!shards_.empty());
   for (const auto& shard : shards_) {
     EXEA_CHECK(shard != nullptr);
     // A mixed fleet would make name() ambiguous and the merge contract
     // (per-shard exactness class) unclear; the engine never builds one.
     EXEA_CHECK_EQ(std::string(shard->name()), std::string(shards_[0]->name()));
+  }
+  if (!metric_prefix.empty()) {
+    obs::Registry& reg = Reg(registry);
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      shard_ms_.push_back(&reg.GetHistogram("span." + metric_prefix + "." +
+                                            std::to_string(s)));
+    }
+    merge_ms_ = &reg.GetHistogram("span." + metric_prefix + ".merge");
   }
 }
 
@@ -468,11 +477,7 @@ std::vector<std::vector<ScoredIndex>> ShardedIndex::TopKAll(
   util::ParallelFor(0, shards_.size(), /*grain=*/1, [&](size_t s) {
     WallTimer timer;
     parts[s] = shards_[s]->TopKAll(queries, k);
-    if (!metric_prefix_.empty()) {
-      Reg(registry_)
-          .GetHistogram("span." + metric_prefix_ + "." + std::to_string(s))
-          .Record(timer.ElapsedMillis());
-    }
+    if (!shard_ms_.empty()) shard_ms_[s]->Record(timer.ElapsedMillis());
   });
 
   // Gather: concatenate the disjoint per-shard candidates and re-sort
@@ -492,11 +497,7 @@ std::vector<std::vector<ScoredIndex>> ShardedIndex::TopKAll(
     merged.resize(keep);
     out[i] = std::move(merged);
   });
-  if (!metric_prefix_.empty()) {
-    Reg(registry_)
-        .GetHistogram("span." + metric_prefix_ + ".merge")
-        .Record(merge_timer.ElapsedMillis());
-  }
+  if (merge_ms_ != nullptr) merge_ms_->Record(merge_timer.ElapsedMillis());
   return out;
 }
 

@@ -91,6 +91,7 @@ class ExactIndex final : public SimilarityIndex {
   size_t row_end_;
   std::vector<float> inv_norms_;  // one per range row
   obs::Registry* registry_;
+  obs::Counter& queries_;  // index.exact.queries
 };
 
 // Tuning knobs for IVF training and probing.
@@ -172,9 +173,13 @@ class IvfIndex final : public SimilarityIndex {
   const Matrix* table_;
   const IvfIndexData* data_;
   std::vector<float> inv_norms_;
+  std::vector<float> centroid_inv_norms_;
   size_t nprobe_;
   size_t indexed_rows_;
   obs::Registry* registry_;
+  obs::Counter& queries_;     // index.ivf.queries
+  obs::Counter& probes_;      // index.recall_probe
+  obs::Counter& candidates_;  // index.ivf.candidates
 };
 
 // Scatter-gather composition over K child indexes built on disjoint row
@@ -201,7 +206,7 @@ class ShardedIndex final : public SimilarityIndex {
   // `shards` must be non-empty, built over disjoint ranges of one table,
   // and share a strategy name.
   ShardedIndex(std::vector<std::unique_ptr<SimilarityIndex>> shards,
-               std::string metric_prefix = "",
+               const std::string& metric_prefix = "",
                obs::Registry* registry = nullptr);
 
   const char* name() const override;
@@ -214,8 +219,10 @@ class ShardedIndex final : public SimilarityIndex {
 
  private:
   std::vector<std::unique_ptr<SimilarityIndex>> shards_;
-  std::string metric_prefix_;
-  obs::Registry* registry_;
+  // span.<metric_prefix>.<i> per shard and span.<metric_prefix>.merge;
+  // empty / nullptr when metric_prefix is empty.
+  std::vector<obs::Histogram*> shard_ms_;
+  obs::Histogram* merge_ms_ = nullptr;
 };
 
 }  // namespace exea::la

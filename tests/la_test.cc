@@ -1,12 +1,18 @@
 // Unit tests for the linear-algebra layer: vector kernels, Matrix,
 // SparseMatrix, similarity search, and the ridge-regression solver.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "la/linreg.h"
 #include "la/matrix.h"
+#include "la/simd.h"
 #include "la/similarity.h"
 #include "la/sparse.h"
 #include "la/vector_ops.h"
@@ -311,6 +317,82 @@ TEST(SimilarityTest, TopKAllMatchesSingle) {
     ASSERT_EQ(all[i].size(), 2u);
     EXPECT_EQ(all[i][0].index, single[0].index);
     EXPECT_EQ(all[i][1].index, single[1].index);
+  }
+}
+
+// The full-sort reference the streaming top-k must reproduce: every row
+// in [row_begin, row_end) scored with the per-row dot kernel in the same
+// (dot * qinv) * inv order, sorted with ScoredLess, cut to k.
+std::vector<ScoredIndex> FullSortTopK(const float* query, const Matrix& table,
+                                      size_t row_begin, size_t row_end,
+                                      size_t k) {
+  const SimdOps& ops = ActiveSimdOps();
+  std::vector<float> inv = RowInverseNormsRange(table, row_begin, row_end);
+  float qnorm = std::sqrt(ops.dot(query, query, table.cols()));
+  float qinv = qnorm > 1e-12f ? 1.0f / qnorm : 0.0f;
+  std::vector<ScoredIndex> all;
+  for (size_t j = row_begin; j < row_end; ++j) {
+    all.push_back({static_cast<uint32_t>(j),
+                   (ops.dot(query, table.Row(j), table.cols()) * qinv) *
+                       inv[j - row_begin]});
+  }
+  std::sort(all.begin(), all.end(), ScoredLess);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+void ExpectSameTopK(const std::vector<ScoredIndex>& want,
+                    const std::vector<ScoredIndex>& got,
+                    const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(want[r].index, got[r].index) << label << " rank " << r;
+    EXPECT_EQ(std::memcmp(&want[r].score, &got[r].score, sizeof(float)), 0)
+        << label << " rank " << r;
+  }
+}
+
+TEST(SimilarityTest, TopKMatchesFullSortReference) {
+  constexpr size_t kDim = 13;
+  Rng rng(77);
+  Vec hot(kDim);
+  for (float& x : hot) x = static_cast<float>(rng.Normal());
+  for (size_t rows : {0u, 1u, 5u, 255u, 256u, 257u, 600u}) {
+    Matrix table(rows, kDim);
+    table.FillNormal(rng, 1.0f);
+    for (size_t j = 0; j < rows; ++j) {
+      // Exact duplicates of `hot` on both sides of the 256-row block
+      // boundary tie exactly, and zero rows all score exactly 0.
+      if (j == 2 || j == 254 || j == 255 || j == 256 || j == 257 ||
+          j + 1 == rows) {
+        table.SetRow(j, hot);
+      } else if (j % 9 == 4) {
+        std::fill(table.Row(j), table.Row(j) + kDim, 0.0f);
+      }
+    }
+    Vec random(kDim);
+    for (float& x : random) x = static_cast<float>(rng.Normal());
+    std::vector<std::pair<std::string, Vec>> queries = {
+        {"hot", hot}, {"random", random}, {"zero", Vec(kDim, 0.0f)}};
+    std::vector<size_t> ks = {0, 1, 5, rows, rows + 3};
+    if (rows > 0) ks.push_back(rows - 1);
+    for (const auto& [name, query] : queries) {
+      for (size_t k : ks) {
+        std::string label = name + " rows=" + std::to_string(rows) +
+                            " k=" + std::to_string(k);
+        ExpectSameTopK(FullSortTopK(query.data(), table, 0, rows, k),
+                       TopKByCosine(query.data(), table, k), label);
+        // A range that starts inside the first block and so never lines
+        // up with the 256-row scoring blocks.
+        if (rows > 3) {
+          std::vector<float> inv = RowInverseNormsRange(table, 3, rows);
+          ExpectSameTopK(
+              FullSortTopK(query.data(), table, 3, rows, k),
+              TopKRangeWithNorms(query.data(), table, inv, 3, rows, k),
+              label + " range [3, rows)");
+        }
+      }
+    }
   }
 }
 

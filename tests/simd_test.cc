@@ -107,6 +107,42 @@ TEST(SimdTest, DotKernelsAreBitIdenticalAtEveryLength) {
   }
 }
 
+// dot_rows must reproduce the per-row dot byte for byte at every level,
+// across row counts around the AVX2 kernel's 4-row interleave and the
+// 256-row scoring block, and dims around the 8-float vector width.
+TEST(SimdTest, DotRowsKernelsMatchDotAtEveryShape) {
+  std::vector<const la::SimdOps*> levels = {&la::ScalarSimdOps()};
+  if (la::Avx2Supported()) levels.push_back(la::Avx2SimdOpsOrNull());
+  Rng rng(505);
+  for (size_t count : {0u, 1u, 3u, 4u, 5u, 255u, 256u, 257u}) {
+    for (size_t n : {0u, 1u, 7u, 8u, 9u, 48u, 50u}) {
+      std::vector<float> q = RandomVector(rng, n);
+      std::vector<float> rows = RandomVector(rng, count * n);
+      std::vector<std::vector<float>> outs;
+      for (const la::SimdOps* ops : levels) {
+        // Poisoned so an unwritten slot cannot pass as a match.
+        std::vector<float> out(count + 1, -7.0f);
+        ops->dot_rows(q.data(), rows.data(), count, n, out.data());
+        for (size_t r = 0; r < count; ++r) {
+          float want = ops->dot(q.data(), rows.data() + r * n, n);
+          EXPECT_EQ(std::memcmp(&out[r], &want, sizeof(float)), 0)
+              << "count=" << count << " n=" << n << " r=" << r << ": "
+              << out[r] << " vs dot " << want;
+        }
+        EXPECT_EQ(out[count], -7.0f) << "wrote past count=" << count;
+        outs.push_back(std::move(out));
+      }
+      for (size_t l = 1; l < outs.size(); ++l) {
+        EXPECT_EQ(std::memcmp(outs[0].data(), outs[l].data(),
+                              count * sizeof(float)),
+                  0)
+            << "scalar and AVX2 dot_rows diverge at count=" << count
+            << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(SimdTest, CslsRowKernelsAreBitIdenticalAtEveryLength) {
   if (!la::Avx2Supported()) GTEST_SKIP() << "no AVX2 on this machine";
   const la::SimdOps& avx2 = *la::Avx2SimdOpsOrNull();
