@@ -13,7 +13,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -27,12 +26,6 @@
 #include "la/simd.h"
 #include "la/similarity.h"
 #include "la/similarity_index.h"
-#include "lint/cache.h"
-#include "lint/config.h"
-#include "lint/global_rules.h"
-#include "lint/local_rules.h"
-#include "lint/source.h"
-#include "lint/taint.h"
 #include "net/bounded_queue.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -413,195 +406,6 @@ BENCHMARK(BM_TopKByCosineAllParallel)
     ->ArgName("threads")
     ->Unit(benchmark::kMillisecond);
 
-// The static-analysis gate itself is on the CI hot path (every ci/check.sh
-// run scans the whole repo twice — text + JSON), so its wall time is
-// tracked like any other kernel. One iteration = one full-repo scan of the
-// exea_lint binary this build produced.
-void BM_ExeaLintFullRepoScan(benchmark::State& state) {
-  const std::string command = std::string(EXEA_LINT_BIN_PATH) + " --root " +
-                              EXEA_REPO_ROOT_PATH + " >/dev/null 2>&1";
-  for (auto _ : state) {
-    int rc = std::system(command.c_str());
-    if (rc != 0) {
-      state.SkipWithError("exea_lint scan failed (repo no longer clean?)");
-      return;
-    }
-  }
-}
-BENCHMARK(BM_ExeaLintFullRepoScan)->Unit(benchmark::kMillisecond);
-
-// The analyzer pipeline in-process (linking the same exea_lint_core the
-// binary uses), isolating cold vs warm cache from process startup and
-// output formatting. Both legs read and hash every file and run the
-// cross-TU passes — the warm leg replaces tokenize + index + local rules
-// with a cache load + per-file hash lookups, which is exactly what an
-// incremental CI run pays. The fixture (file list, concurrency model,
-// layer DAG, pre-built cache file) is built once outside the timed loop.
-struct LintScanFixture {
-  std::vector<std::filesystem::path> files;
-  lint::ConcurrencyConfig conc;
-  lint::LayerGraph layers;
-  bool have_layers = false;
-  std::string layers_path;
-  std::filesystem::path cache_path;
-  uint64_t config_key = 0;
-  lint::TaintConfig taint;
-
-  LintScanFixture() {
-    const std::filesystem::path root(EXEA_REPO_ROOT_PATH);
-    for (const char* sub : {"src", "tools", "bench"}) {
-      lint::CollectFiles(root / sub, &files);
-    }
-    conc.AddDefaults();
-    std::string error;
-    lint::ParseConcurrency(root / "tools" / "lint_concurrency.txt", &conc,
-                           &error);
-    layers_path = (root / "tools" / "layers.txt").string();
-    have_layers = lint::ParseLayers(layers_path, &layers, &error);
-    lint::ParseTaint(root / "tools" / "lint_taint.txt", &taint, &error);
-    config_key = lint::CacheConfigKey(conc);
-    cache_path = std::filesystem::temp_directory_path() /
-                 "exea_bench_lint_cache.txt";
-    // Seed the warm leg's cache file with one cold scan.
-    lint::AnalysisCache cache(cache_path, config_key);
-    cache.Write(ColdAnalyses());
-  }
-
-  std::vector<lint::FileAnalysis> ColdAnalyses() const {
-    std::vector<lint::FileAnalysis> analyses;
-    analyses.reserve(files.size());
-    for (const auto& path : files) {
-      std::string content;
-      if (!lint::ReadFileContent(path, &content)) continue;
-      lint::SourceFile src;
-      lint::BuildSourceFile(path.string(), content, &src);
-      analyses.push_back(lint::AnalyzeFile(src, conc));
-      analyses.back().content_hash = lint::Fnv1a64(content);
-    }
-    return analyses;
-  }
-};
-
-LintScanFixture& GetLintScanFixture() {
-  static auto* fx = bench::LeakySingleton<LintScanFixture>();
-  return *fx;
-}
-
-void BM_ExeaLintFullRepoScanColdCache(benchmark::State& state) {
-  const LintScanFixture& fx = GetLintScanFixture();
-  size_t diags = 0;
-  for (auto _ : state) {
-    std::vector<lint::FileAnalysis> analyses = fx.ColdAnalyses();
-    std::vector<lint::Diagnostic> global = lint::RunGlobalRules(
-        analyses, fx.have_layers ? &fx.layers : nullptr, fx.layers_path,
-        fx.conc);
-    diags = global.size();
-    for (const auto& a : analyses) diags += a.local.size();
-    benchmark::DoNotOptimize(diags);
-  }
-  state.counters["files"] = static_cast<double>(fx.files.size());
-  state.counters["diags"] = static_cast<double>(diags);
-}
-BENCHMARK(BM_ExeaLintFullRepoScanColdCache)->Unit(benchmark::kMillisecond);
-
-void BM_ExeaLintFullRepoScanWarmCache(benchmark::State& state) {
-  const LintScanFixture& fx = GetLintScanFixture();
-  size_t diags = 0;
-  for (auto _ : state) {
-    lint::AnalysisCache cache(fx.cache_path, fx.config_key);
-    cache.Load();
-    std::vector<lint::FileAnalysis> analyses;
-    analyses.reserve(fx.files.size());
-    size_t misses = 0;
-    for (const auto& path : fx.files) {
-      std::string content;
-      if (!lint::ReadFileContent(path, &content)) continue;
-      lint::FileAnalysis analysis;
-      if (!cache.Lookup(path.string(), lint::Fnv1a64(content), &analysis)) {
-        // A miss means the tree changed under the benchmark; fall back to
-        // analyzing so the measured work stays a full correct scan.
-        ++misses;
-        lint::SourceFile src;
-        lint::BuildSourceFile(path.string(), content, &src);
-        analysis = lint::AnalyzeFile(src, fx.conc);
-      }
-      analyses.push_back(std::move(analysis));
-    }
-    if (misses == fx.files.size()) {
-      state.SkipWithError("cache never hit (config drift?)");
-      return;
-    }
-    std::vector<lint::Diagnostic> global = lint::RunGlobalRules(
-        analyses, fx.have_layers ? &fx.layers : nullptr, fx.layers_path,
-        fx.conc);
-    diags = global.size();
-    for (const auto& a : analyses) diags += a.local.size();
-    benchmark::DoNotOptimize(diags);
-  }
-  state.counters["files"] = static_cast<double>(fx.files.size());
-  state.counters["diags"] = static_cast<double>(diags);
-}
-BENCHMARK(BM_ExeaLintFullRepoScanWarmCache)->Unit(benchmark::kMillisecond);
-
-// The untrusted-input taint pass over the real repository model
-// (tools/lint_taint.txt). The cold leg pays tokenize + fact collection +
-// propagation; the warm leg loads the fact tables from the cache and pays
-// only the cross-TU fixpoint — the cost ci/check.sh's taint gate adds on
-// an incremental run, since its facts ride the same cache as the other
-// passes. A nonzero diag count aborts: the repo's taint scan is clean by
-// construction, so any finding here means the model or the tree drifted.
-void BM_ExeaLintTaintScanColdCache(benchmark::State& state) {
-  const LintScanFixture& fx = GetLintScanFixture();
-  for (auto _ : state) {
-    std::vector<lint::FileAnalysis> analyses = fx.ColdAnalyses();
-    std::vector<lint::Diagnostic> diags =
-        lint::RunTaintPass(analyses, fx.taint);
-    if (!diags.empty()) {
-      state.SkipWithError("taint scan not clean (model drift?)");
-      return;
-    }
-    benchmark::DoNotOptimize(diags);
-  }
-  state.counters["files"] = static_cast<double>(fx.files.size());
-}
-BENCHMARK(BM_ExeaLintTaintScanColdCache)->Unit(benchmark::kMillisecond);
-
-void BM_ExeaLintTaintScanWarmCache(benchmark::State& state) {
-  const LintScanFixture& fx = GetLintScanFixture();
-  for (auto _ : state) {
-    lint::AnalysisCache cache(fx.cache_path, fx.config_key);
-    cache.Load();
-    std::vector<lint::FileAnalysis> analyses;
-    analyses.reserve(fx.files.size());
-    size_t misses = 0;
-    for (const auto& path : fx.files) {
-      std::string content;
-      if (!lint::ReadFileContent(path, &content)) continue;
-      lint::FileAnalysis analysis;
-      if (!cache.Lookup(path.string(), lint::Fnv1a64(content), &analysis)) {
-        ++misses;
-        lint::SourceFile src;
-        lint::BuildSourceFile(path.string(), content, &src);
-        analysis = lint::AnalyzeFile(src, fx.conc);
-      }
-      analyses.push_back(std::move(analysis));
-    }
-    if (misses == fx.files.size()) {
-      state.SkipWithError("cache never hit (config drift?)");
-      return;
-    }
-    std::vector<lint::Diagnostic> diags =
-        lint::RunTaintPass(analyses, fx.taint);
-    if (!diags.empty()) {
-      state.SkipWithError("taint scan not clean (model drift?)");
-      return;
-    }
-    benchmark::DoNotOptimize(diags);
-  }
-  state.counters["files"] = static_cast<double>(fx.files.size());
-}
-BENCHMARK(BM_ExeaLintTaintScanWarmCache)->Unit(benchmark::kMillisecond);
-
 void BM_CslsAdjustParallel(benchmark::State& state) {
   static const la::Matrix* sim = [] {
     Rng rng(5);
@@ -749,27 +553,6 @@ BENCHMARK(BM_IvfIndexTopK)
     ->ArgName("nprobe")
     ->Unit(benchmark::kMillisecond);
 
-// The comma-joined rule registry of the exea_lint binary this build
-// produced (first token of each --list-rules line), so a recorded
-// BM_ExeaLintFullRepoScan number is attributable to the exact rule set it
-// scanned with. Empty if the binary cannot be run.
-std::string LintRuleRegistry() {
-  std::string command = std::string(EXEA_LINT_BIN_PATH) + " --list-rules";
-  std::FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return "";
-  std::string rules;
-  char buffer[256];
-  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-    std::string line(buffer);
-    size_t end = line.find_first_of(" \t\n");
-    if (end == 0 || end == std::string::npos) continue;
-    if (!rules.empty()) rules += ',';
-    rules += line.substr(0, end);
-  }
-  pclose(pipe);
-  return rules;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -780,35 +563,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("exea_threads", std::to_string(threads));
   benchmark::AddCustomContext("exea_git_sha", exea::bench::BuildGitSha());
   benchmark::AddCustomContext("exea_build_type", exea::bench::BuildType());
-  std::string lint_rules = LintRuleRegistry();
-  benchmark::AddCustomContext("exea_lint_rules", lint_rules);
-  // The registry size as its own context key (21 as of the taint family),
-  // so dashboards can spot a rule-set change without diffing the comma
-  // list.
-  benchmark::AddCustomContext(
-      "exea_lint_rule_count",
-      std::to_string(lint_rules.empty()
-                         ? 0
-                         : 1 + std::count(lint_rules.begin(),
-                                          lint_rules.end(), ',')));
-  // The taint model's shape (sources/sanitizers/barriers/sinks declared
-  // in tools/lint_taint.txt), so a recorded BM_ExeaLintTaintScan* number
-  // is attributable to the model it propagated.
-  {
-    lint::TaintConfig taint;
-    std::string error;
-    lint::ParseTaint(
-        std::filesystem::path(EXEA_REPO_ROOT_PATH) / "tools" /
-            "lint_taint.txt",
-        &taint, &error);
-    benchmark::AddCustomContext(
-        "exea_lint_taint_rules",
-        "sources=" + std::to_string(taint.sources.size()) +
-            ",tainted_params=" + std::to_string(taint.tainted_params.size()) +
-            ",sanitizers=" + std::to_string(taint.sanitizers.size()) +
-            ",barriers=" + std::to_string(taint.barriers.size()) +
-            ",sinks=" + std::to_string(taint.sinks.size()));
-  }
   // How many metrics the process-wide obs registry holds at startup, so a
   // recorded run documents its instrumentation surface. Touch one metric
   // first: the count must witness the registry itself is alive.

@@ -3,13 +3,12 @@
 #
 #   1. tier-1: full configure + build + ctest (the acceptance bar every
 #      change must keep green),
-#   2. lint: exea_lint over src/ tools/ bench/ — the architecture families
-#      (include layering vs tools/layers.txt, lock-discipline annotations,
-#      header hygiene) plus nodiscard/discarded Status, raw
-#      rand()/new/delete, std::cout in library code — with a machine-
-#      readable copy of the findings written to build/lint.json, a
-#      separately-gated untrusted-input taint scan (sources declared in
-#      tools/lint_taint.txt; SARIF artifact build/lint_taint.sarif), the
+#   2. lint: one exea_lint scan of src/ tools/ bench/ with the default
+#      rule set, which is every rule in the registry (exea_lint
+#      --list-rules): layering vs tools/layers.txt, lock discipline, the
+#      cross-TU concurrency families, Status discards, header hygiene, the
+#      obs-no-adhoc-metrics telemetry rule and the untrusted-input taint
+#      family (sources in tools/lint_taint.txt) among them; then the
 #      exea_header_check target (every src/ header compiles standalone),
 #      and clang-tidy (bugprone/performance/concurrency, see .clang-tidy)
 #      when a clang-tidy binary is on PATH,
@@ -50,41 +49,10 @@ cmake -B build -S .
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}")
 
-echo "=== lint: exea_lint (cross-TU, baseline-gated) ==="
-# The gate: a full repo scan with the incremental cache, diffed against
-# the committed baseline in tools/lint_baseline.txt. Historical findings
-# listed there are suppressed; any NEW finding fails the build. To adopt
-# a finding deliberately, run
-#   ./build/tools/exea_lint --root . --update-baseline
-# and commit the baseline diff for review.
-./build/tools/exea_lint --root . --cache build/lint_cache.txt
-# Telemetry hygiene as its own named gate: ad-hoc counters / latency
-# members outside src/obs/ fail the build even if someone narrows the
-# default rule set above.
-./build/tools/exea_lint --root . --rules obs-no-adhoc-metrics
-# Machine-readable artifacts for dashboards / annotation bots. SARIF is
-# the canonical one (code-scanning uploads); baselined findings appear
-# there with an external suppression instead of vanishing. The gate run
-# above already failed the build on new findings, so these re-scans
-# (warm-cache, milliseconds) only record state.
-./build/tools/exea_lint --root . --cache build/lint_cache.txt \
-  --format=sarif > build/lint.sarif || true
-./build/tools/exea_lint --root . --cache build/lint_cache.txt \
-  --format=json > build/lint.json || true
-
-echo "=== lint: untrusted-input taint (sources in tools/lint_taint.txt) ==="
-# The taint family is its own named gate so a rule-set narrowing above
-# can never silently drop it: every source->sink flow from wire/snapshot
-# bytes must pass through EXEA_CHECK or the util::Parse* checked API, and
-# the banned-parser rule keeps atoi/stoi/strtol off those paths entirely.
-# No baseline here — taint findings are repaired, not waived in bulk.
-# The fact tables are config-independent, so this re-scan runs warm off
-# the cache populated by the gate run above.
-./build/tools/exea_lint --root . --cache build/lint_cache.txt \
-  --rules taint-unchecked-sink,atoi-on-untrusted
-./build/tools/exea_lint --root . --cache build/lint_cache.txt \
-  --rules taint-unchecked-sink,atoi-on-untrusted \
-  --format=sarif > build/lint_taint.sarif || true
+echo "=== lint: exea_lint (every rule family, taint included) ==="
+# Any finding fails the build; fix it or waive the line with a justified
+# "exea-lint: allow(rule)" comment.
+./build/tools/exea_lint --root .
 
 echo "=== lint: header self-sufficiency ==="
 cmake --build build -j"${JOBS}" --target exea_header_check

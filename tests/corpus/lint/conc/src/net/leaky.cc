@@ -2,7 +2,7 @@
 // twin closes on every path.
 
 // A stale waiver spelling that suppresses nothing — waiver-format flags
-// it (and --fix normalizes it):
+// it (the space after the colon is missing):
 // exea-lint:allow(raw-rng)
 
 namespace demo::net {

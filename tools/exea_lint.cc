@@ -1,33 +1,26 @@
 // exea_lint — the repo's compilation-aware rule checker. The analysis
 // lives in tools/lint/ (source loading, the declaration indexer, the
-// local per-file rules, the cross-TU passes, the incremental cache, the
-// emitters); this file is the command-line driver.
+// local per-file rules, the cross-TU passes); this file is the
+// command-line front end.
 //
 // A scan has two phases. The local phase analyzes each file in
 // isolation, producing per-file diagnostics plus a fact summary
-// (declarations, call sites, guarded members, include edges). Local
-// results are pure functions of (file bytes, configuration) and are what
-// the --cache file persists. The global phase runs over the collected
-// summaries: layering, include cycles, Status-discard resolution, the
-// cross-TU lock discipline, event-loop blocking reachability, and
-// unordered-iteration-into-output, each scoped to per-file include
-// closures.
+// (declarations, call sites, guarded members, include edges). The global
+// phase runs over the collected summaries: layering, include cycles,
+// Status-discard resolution, the cross-TU lock discipline, event-loop
+// blocking reachability, unordered-iteration-into-output and the taint
+// dataflow, each scoped to per-file include closures.
 //
-// Exit codes: 0 clean (or every finding baselined), 1 active findings,
-// 2 configuration or I/O errors.
+// Exit codes: 0 clean, 1 findings, 2 usage, configuration or I/O errors.
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "lint/cache.h"
 #include "lint/config.h"
-#include "lint/emit.h"
-#include "lint/fix.h"
 #include "lint/global_rules.h"
 #include "lint/local_rules.h"
 #include "lint/registry.h"
@@ -36,137 +29,33 @@
 
 namespace fs = std::filesystem;
 
-namespace {
-
-using lint::Diagnostic;
-
-// Serves raw source lines to the baseline fingerprinting, splitting each
-// file's content on first use.
-class FileLines : public lint::LineSource {
- public:
-  void Add(const std::string& path, std::string content) {
-    contents_[path] = std::move(content);
-  }
-
-  std::string Line(const std::string& file, size_t line_1based) override {
-    auto split = split_.find(file);
-    if (split == split_.end()) {
-      auto content = contents_.find(file);
-      if (content == contents_.end()) return "";
-      std::vector<std::string> lines;
-      lint::SplitLines(content->second, &lines);
-      split = split_.emplace(file, std::move(lines)).first;
-    }
-    if (line_1based < 1 || line_1based > split->second.size()) return "";
-    return split->second[line_1based - 1];
-  }
-
- private:
-  std::map<std::string, std::string> contents_;
-  std::map<std::string, std::vector<std::string>> split_;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   fs::path root = ".";
   fs::path layers_path;
-  bool layers_explicit = false;
   fs::path concurrency_path;
-  bool concurrency_explicit = false;
   fs::path taint_path;
-  bool taint_explicit = false;
-  fs::path baseline_path;
-  bool baseline_explicit = false;
-  fs::path cache_path;
-  bool cache_enabled = false;
-  bool update_baseline = false;
-  bool fix_mode = false;
-  std::string format = "text";
   std::set<std::string> enabled;
-  bool rules_given = false;
   std::vector<fs::path> inputs;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg.rfind("--root=", 0) == 0) {
-      root = arg.substr(7);
-    } else if (arg == "--layers" && i + 1 < argc) {
-      layers_path = argv[++i];
-      layers_explicit = true;
-    } else if (arg.rfind("--layers=", 0) == 0) {
-      layers_path = arg.substr(9);
-      layers_explicit = true;
-    } else if (arg == "--concurrency" && i + 1 < argc) {
-      concurrency_path = argv[++i];
-      concurrency_explicit = true;
-    } else if (arg.rfind("--concurrency=", 0) == 0) {
-      concurrency_path = arg.substr(14);
-      concurrency_explicit = true;
-    } else if (arg == "--taint" && i + 1 < argc) {
-      taint_path = argv[++i];
-      taint_explicit = true;
-    } else if (arg.rfind("--taint=", 0) == 0) {
-      taint_path = arg.substr(8);
-      taint_explicit = true;
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-      baseline_explicit = true;
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-      baseline_explicit = true;
-    } else if (arg == "--cache" && i + 1 < argc) {
-      cache_path = argv[++i];
-      cache_enabled = true;
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      cache_path = arg.substr(8);
-      cache_enabled = true;
-    } else if (arg == "--update-baseline") {
-      update_baseline = true;
-    } else if (arg == "--fix") {
-      fix_mode = true;
-    } else if (arg == "--rules" && i + 1 < argc) {
-      rules_given = true;
-      std::string unknown;
-      if (!lint::ExpandRules(argv[++i], &enabled, &unknown)) {
-        std::fprintf(stderr, "exea_lint: unknown rule or family '%s'\n",
-                     unknown.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      rules_given = true;
-      std::string unknown;
-      if (!lint::ExpandRules(arg.substr(8), &enabled, &unknown)) {
-        std::fprintf(stderr, "exea_lint: unknown rule or family '%s'\n",
-                     unknown.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "text" && format != "json" && format != "sarif") {
-        std::fprintf(stderr, "exea_lint: unknown format '%s'\n",
-                     format.c_str());
-        return 2;
-      }
-    } else if (arg == "--list-rules") {
+    if (arg == "--list-rules") {
       for (const lint::RuleInfo& info : lint::kRules) {
         std::printf("%-22s %-16s %s\n", info.name, info.family,
                     info.description);
       }
       return 0;
-    } else if (arg == "--help") {
+    }
+    if (arg == "--help") {
       std::printf(
           "usage: exea_lint [--root <dir>] [--layers <file>]\n"
           "                 [--concurrency <file>] [--taint <file>]\n"
-          "                 [--rules <r1,r2|family>]\n"
-          "                 [--format text|json|sarif] [--cache <file>]\n"
-          "                 [--baseline <file>] [--update-baseline] [--fix]\n"
-          "                 [--list-rules] [paths...]\n"
+          "                 [--rules <r1,r2|family>] [--list-rules] [--help]\n"
+          "                 [paths...]\n"
           "Checks project rules over C++ sources; with no paths, scans\n"
           "<root>/src, <root>/tools, <root>/bench. Exits 1 if any rule\n"
-          "fires, 2 on I/O or configuration errors (unreadable input,\n"
-          "unknown --rules name, a cycle in the declared layer DAG).\n"
+          "fires, 2 on usage, I/O or configuration errors (unknown flag,\n"
+          "missing flag value, nonexistent or unreadable input, unknown\n"
+          "or empty --rules list, a cycle in the declared layer DAG).\n"
           "--layers defaults to <root>/tools/layers.txt; if that file is\n"
           "absent the layering family is skipped. --concurrency defaults\n"
           "to <root>/tools/lint_concurrency.txt (event-loop entries,\n"
@@ -174,35 +63,79 @@ int main(int argc, char** argv) {
           "and the event-loop family is skipped. --taint defaults to\n"
           "<root>/tools/lint_taint.txt (untrusted sources, sanitizers,\n"
           "sinks); absent, the cross-TU taint pass is skipped (the local\n"
-          "atoi-on-untrusted rule still runs). --cache keeps a per-file\n"
-          "analysis cache keyed by content hash. --baseline defaults to\n"
-          "<root>/tools/lint_baseline.txt; findings it lists are reported\n"
-          "as suppressed and do not fail the scan; --update-baseline\n"
-          "rewrites it from the current findings. --fix applies the\n"
-          "mechanical fixes (nodiscard insertion, waiver normalization).\n"
-          "--list-rules prints the rule registry (name, family,\n"
-          "description).\n");
+          "atoi-on-untrusted rule still runs). --list-rules prints the\n"
+          "rule registry (name, family, description).\n");
       return 0;
-    } else {
+    }
+    if (arg.rfind("--", 0) != 0) {
       inputs.emplace_back(arg);
+      continue;
+    }
+    // Every other flag takes a value, as `--flag value` or `--flag=value`.
+    std::string flag = arg.substr(0, arg.find('='));
+    if (flag != "--root" && flag != "--layers" && flag != "--concurrency" &&
+        flag != "--taint" && flag != "--rules") {
+      std::fprintf(stderr, "exea_lint: unknown flag '%s'\n", arg.c_str());
+      return 2;
+    }
+    std::string value;
+    if (flag.size() < arg.size()) {
+      value = arg.substr(flag.size() + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (value.empty()) {
+      std::fprintf(stderr, "exea_lint: %s needs a value\n", flag.c_str());
+      return 2;
+    }
+    if (flag == "--root") {
+      root = value;
+    } else if (flag == "--layers") {
+      layers_path = value;
+    } else if (flag == "--concurrency") {
+      concurrency_path = value;
+    } else if (flag == "--taint") {
+      taint_path = value;
+    } else {
+      std::string unknown;
+      if (!lint::ExpandRules(value, &enabled, &unknown)) {
+        if (unknown.empty()) {
+          std::fprintf(stderr, "exea_lint: --rules '%s' names no rule\n",
+                       value.c_str());
+        } else {
+          std::fprintf(stderr, "exea_lint: unknown rule or family '%s'\n",
+                       unknown.c_str());
+        }
+        return 2;
+      }
     }
   }
-  if (!rules_given) {
+  // ExpandRules never leaves a --rules list empty, so empty means none.
+  if (enabled.empty()) {
     for (const lint::RuleInfo& info : lint::kRules) enabled.insert(info.name);
+  }
+  // Explicit inputs must exist; the default roots are optional.
+  for (const fs::path& input : inputs) {
+    std::error_code ec;
+    if (!fs::exists(input, ec)) {
+      std::fprintf(stderr, "exea_lint: no such input '%s'\n",
+                   input.generic_string().c_str());
+      return 2;
+    }
   }
   if (inputs.empty()) {
     for (const char* sub : {"src", "tools", "bench"}) {
       inputs.push_back(root / sub);
     }
   }
-  if (layers_path.empty()) layers_path = root / "tools" / "layers.txt";
-  if (concurrency_path.empty()) {
+  const bool layers_explicit = !layers_path.empty();
+  const bool concurrency_explicit = !concurrency_path.empty();
+  const bool taint_explicit = !taint_path.empty();
+  if (!layers_explicit) layers_path = root / "tools" / "layers.txt";
+  if (!concurrency_explicit) {
     concurrency_path = root / "tools" / "lint_concurrency.txt";
   }
-  if (taint_path.empty()) taint_path = root / "tools" / "lint_taint.txt";
-  if (baseline_path.empty()) {
-    baseline_path = root / "tools" / "lint_baseline.txt";
-  }
+  if (!taint_explicit) taint_path = root / "tools" / "lint_taint.txt";
 
   lint::ConcurrencyConfig conc;
   conc.AddDefaults();
@@ -246,21 +179,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (fix_mode) {
-    lint::FixStats stats = lint::ApplyFixes(paths, conc);
-    std::fprintf(stderr,
-                 "exea_lint: fixed %zu file(s): %zu [[nodiscard]] "
-                 "inserted, %zu waiver(s) normalized\n",
-                 stats.files_changed, stats.nodiscard_inserted,
-                 stats.waivers_normalized);
-    if (stats.files_failed > 0) {
-      std::fprintf(stderr, "exea_lint: %zu file(s) could not be rewritten\n",
-                   stats.files_failed);
-      return 2;
-    }
-    return 0;
-  }
-
   lint::LayerGraph layers;
   bool have_layers = false;
   {
@@ -279,13 +197,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  lint::AnalysisCache cache(cache_path, lint::CacheConfigKey(conc));
-  if (cache_enabled) cache.Load();
-
-  FileLines lines;
   std::vector<lint::FileAnalysis> analyses;
   analyses.reserve(paths.size());
-  size_t cache_hits = 0;
   for (const fs::path& path : paths) {
     std::string content;
     if (!lint::ReadFileContent(path, &content)) {
@@ -293,99 +206,45 @@ int main(int argc, char** argv) {
                    path.generic_string().c_str());
       return 2;
     }
-    std::string path_str = path.generic_string();
-    uint64_t hash = lint::Fnv1a64(content);
-    lint::FileAnalysis analysis;
-    if (cache_enabled && cache.Lookup(path_str, hash, &analysis)) {
-      ++cache_hits;
-    } else {
-      lint::SourceFile file;
-      lint::BuildSourceFile(path_str, content, &file);
-      analysis = lint::AnalyzeFile(file, conc);
-      analysis.content_hash = hash;
-    }
-    lines.Add(path_str, std::move(content));
-    analyses.push_back(std::move(analysis));
+    lint::SourceFile file;
+    lint::BuildSourceFile(path.generic_string(), content, &file);
+    analyses.push_back(lint::AnalyzeFile(file, conc));
   }
-  // A fully warm scan leaves the cache byte-identical; skip the rewrite.
-  if (cache_enabled && cache_hits < analyses.size()) cache.Write(analyses);
 
-  std::vector<Diagnostic> diags;
+  std::vector<lint::Diagnostic> diags;
   for (const lint::FileAnalysis& analysis : analyses) {
     diags.insert(diags.end(), analysis.local.begin(), analysis.local.end());
   }
   {
-    std::vector<Diagnostic> global = lint::RunGlobalRules(
+    std::vector<lint::Diagnostic> global = lint::RunGlobalRules(
         analyses, have_layers ? &layers : nullptr,
         layers_path.generic_string(), conc);
     diags.insert(diags.end(), global.begin(), global.end());
   }
   if (taint.loaded) {
-    std::vector<Diagnostic> flows = lint::RunTaintPass(analyses, taint);
+    std::vector<lint::Diagnostic> flows = lint::RunTaintPass(analyses, taint);
     diags.insert(diags.end(), flows.begin(), flows.end());
   }
   diags.erase(std::remove_if(diags.begin(), diags.end(),
-                             [&enabled](const Diagnostic& d) {
+                             [&enabled](const lint::Diagnostic& d) {
                                return enabled.count(d.rule) == 0;
                              }),
               diags.end());
   std::sort(diags.begin(), diags.end());
   diags.erase(std::unique(diags.begin(), diags.end(),
-                          [](const Diagnostic& a, const Diagnostic& b) {
+                          [](const lint::Diagnostic& a,
+                             const lint::Diagnostic& b) {
                             return a.file == b.file && a.line == b.line &&
                                    a.col == b.col && a.rule == b.rule &&
                                    a.message == b.message;
                           }),
               diags.end());
 
-  if (update_baseline) {
-    if (!lint::WriteBaseline(baseline_path, diags, &lines)) {
-      std::fprintf(stderr, "exea_lint: cannot write baseline file %s\n",
-                   baseline_path.generic_string().c_str());
-      return 2;
-    }
-    std::fprintf(stderr,
-                 "exea_lint: wrote baseline covering %zu finding(s) to %s\n",
-                 diags.size(), baseline_path.generic_string().c_str());
-    return 0;
+  for (const lint::Diagnostic& d : diags) {
+    std::printf("%s:%zu:%zu: %s: %s\n", d.file.c_str(), d.line, d.col,
+                d.rule.c_str(), d.message.c_str());
   }
-
-  {
-    std::error_code ec;
-    if (fs::is_regular_file(baseline_path, ec)) {
-      lint::Baseline baseline;
-      if (!lint::LoadBaseline(baseline_path, &baseline)) {
-        std::fprintf(stderr, "exea_lint: cannot read baseline file %s\n",
-                     baseline_path.generic_string().c_str());
-        return 2;
-      }
-      lint::ApplyBaseline(baseline, &lines, &diags);
-    } else if (baseline_explicit) {
-      std::fprintf(stderr, "exea_lint: cannot read baseline file %s\n",
-                   baseline_path.generic_string().c_str());
-      return 2;
-    }
-  }
-
-  size_t active = 0;
-  for (const Diagnostic& d : diags) {
-    if (!d.baselined) ++active;
-  }
-
-  if (format == "json") {
-    lint::PrintJson(diags);
-  } else if (format == "sarif") {
-    lint::PrintSarif(diags);
-  } else {
-    lint::PrintText(diags);
-  }
-  if (cache_enabled) {
-    std::fprintf(stderr,
-                 "exea_lint: %zu file(s) (%zu from cache), %zu violation(s)\n",
-                 analyses.size(), cache_hits, active);
-  } else {
-    std::fprintf(stderr, "exea_lint: %zu file(s), %zu violation(s)\n",
-                 analyses.size(), active);
-  }
-  return active == 0 ? 0 : 1;
+  std::fprintf(stderr, "exea_lint: %zu file(s), %zu violation(s)\n",
+               analyses.size(), diags.size());
+  return diags.empty() ? 0 : 1;
 }

@@ -1,14 +1,12 @@
 // The per-file fact tables the cross-TU passes consume, and the
-// FileAnalysis record the incremental cache persists. Everything here is
-// a pure function of one file's content plus the tool configuration —
-// that is what makes the content-hash cache sound: a warm hit restores
-// the facts and local diagnostics without re-reading a single rule.
+// FileAnalysis record that carries them with the file's local
+// diagnostics. Everything here is a pure function of one file's content
+// plus the tool configuration.
 
 #ifndef EXEA_TOOLS_LINT_ANALYSIS_H_
 #define EXEA_TOOLS_LINT_ANALYSIS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -166,18 +164,16 @@ struct WaiverLine {
   bool comment_only = false;
 };
 
-// Everything the analyzer knows about one file — restorable from cache.
+// Everything the analyzer knows about one file.
 struct FileAnalysis {
   std::string path;
   std::string module;
   std::string src_rel;
   bool is_header = false;
   bool in_src = false;
-  uint64_t content_hash = 0;
   FileSummary summary;
   std::vector<Diagnostic> local;            // local-rule diags, waiver-filtered
   std::map<size_t, WaiverLine> waivers;     // 1-based line -> waiver
-  bool from_cache = false;
 };
 
 // A waiver applies to its own line, or — when it sits on a comment-only

@@ -41,7 +41,7 @@ class GlobalPass {
   void Report(size_t fi, size_t line, size_t col, const std::string& rule,
               const std::string& message) {
     if (line >= 1 && Waived(files_[fi], line, rule)) return;
-    diags_.push_back({files_[fi].path, line, col, rule, message, false});
+    diags_.push_back({files_[fi].path, line, col, rule, message});
   }
 
   // ---------------------------------------------------------- closures

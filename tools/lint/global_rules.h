@@ -5,7 +5,7 @@
 // propagated through EXEA_REQUIRES, guarded members escaping into free
 // functions, event-loop blocking-call reachability, and unordered-
 // container iteration feeding serialized output. Everything here consumes
-// FileAnalysis records, which may have been restored from the cache.
+// the FileAnalysis records of the local phase.
 
 #ifndef EXEA_TOOLS_LINT_GLOBAL_RULES_H_
 #define EXEA_TOOLS_LINT_GLOBAL_RULES_H_

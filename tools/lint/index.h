@@ -4,7 +4,7 @@
 // definitions with body spans, call sites and trailing-underscore member
 // references tagged with the lexically held locks, and quoted includes.
 // The cross-TU passes (call-graph reachability, lock propagation) are
-// built entirely on these facts, so cached files never re-tokenize.
+// built entirely on these facts, so no pass re-tokenizes a file.
 
 #ifndef EXEA_TOOLS_LINT_INDEX_H_
 #define EXEA_TOOLS_LINT_INDEX_H_

@@ -326,12 +326,12 @@ class LocalPass {
   }
 
  private:
-  // Local sink: drops waived lines. Rule enablement is applied by the
-  // driver so cached diagnostics stay valid across --rules invocations.
+  // Local sink: drops waived lines. Rule enablement is applied in
+  // exea_lint.cc, to local and cross-TU findings alike.
   void Report(size_t line, size_t col, const std::string& rule,
               const std::string& message) {
     if (line >= 1 && Waived(*out_, line, rule)) return;
-    out_->local.push_back({file_.path, line, col, rule, message, false});
+    out_->local.push_back({file_.path, line, col, rule, message});
   }
 
   // A bare expression statement whose outermost callee *might* be a
@@ -1103,7 +1103,7 @@ class LocalPass {
 
   // Waivers must be spelled exactly "exea-lint: allow(rule)" — a variant
   // spelling ("exea-lint:allow", "exea-lint : allow") silently fails to
-  // suppress anything. Flag recognizable near-misses; --fix normalizes.
+  // suppress anything. Flag recognizable near-misses.
   void CheckWaiverFormat() {
     const std::string kTag = "exea-lint";
     const std::string kCanonical = "exea-lint: allow(";
@@ -1139,7 +1139,7 @@ class LocalPass {
           if (i < raw.size() && raw[i] == '(') {
             Report(li + 1, at + 1, "waiver-format",
                    "waiver comment is not canonical 'exea-lint: allow(rule)' "
-                   "and will not suppress anything; run --fix to normalize");
+                   "and will not suppress anything");
           }
         }
         at += kTag.size();

@@ -4,15 +4,9 @@
 
 namespace lint {
 
-const char* FamilyOf(const std::string& rule) {
-  for (const RuleInfo& info : kRules) {
-    if (rule == info.name) return info.family;
-  }
-  return "";
-}
-
 bool ExpandRules(const std::string& spec, std::set<std::string>* enabled,
                  std::string* unknown) {
+  bool named_any = false;
   std::string token;
   std::istringstream parts(spec);
   while (std::getline(parts, token, ',')) {
@@ -31,8 +25,9 @@ bool ExpandRules(const std::string& spec, std::set<std::string>* enabled,
       *unknown = name;
       return false;
     }
+    named_any = true;
   }
-  return true;
+  return named_any;
 }
 
 }  // namespace lint

@@ -1,6 +1,4 @@
-// The rule registry and the Diagnostic type shared by every pass. The
-// registry drives --list-rules, --rules validation, family expansion, and
-// the SARIF rule table. Keep it in sync with the passes.
+// The rule registry and the Diagnostic type shared by every pass.
 
 #ifndef EXEA_TOOLS_LINT_REGISTRY_H_
 #define EXEA_TOOLS_LINT_REGISTRY_H_
@@ -82,7 +80,6 @@ struct Diagnostic {
   size_t col = 1;
   std::string rule;
   std::string message;
-  bool baselined = false;  // suppressed by the committed baseline
 
   bool operator<(const Diagnostic& other) const {
     if (file != other.file) return file < other.file;
@@ -92,10 +89,9 @@ struct Diagnostic {
   }
 };
 
-const char* FamilyOf(const std::string& rule);
-
 // Expands a --rules list (rule names and family names, comma-separated)
-// into the enabled-rule set. Returns false on an unknown name.
+// into the enabled-rule set. Returns false on an unknown name (stored in
+// *unknown) or on a list that names no rule at all (*unknown left empty).
 bool ExpandRules(const std::string& spec, std::set<std::string>* enabled,
                  std::string* unknown);
 

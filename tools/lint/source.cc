@@ -127,6 +127,8 @@ bool ReadFileContent(const fs::path& path, std::string* out) {
   return true;
 }
 
+namespace {
+
 void ClassifyPath(const std::string& path_str, SourceFile* out) {
   out->path = path_str;
   out->is_header = HasSuffix(out->path, ".h");
@@ -164,25 +166,13 @@ void SplitLines(const std::string& content, std::vector<std::string>* out) {
   }
 }
 
+}  // namespace
+
 void BuildSourceFile(const std::string& path_str, const std::string& content,
                      SourceFile* out) {
   ClassifyPath(path_str, out);
   SplitLines(content, &out->raw);
   StripToCode(out);
-}
-
-bool LoadFileRaw(const fs::path& path, SourceFile* out) {
-  std::string content;
-  if (!ReadFileContent(path, &content)) return false;
-  ClassifyPath(path.generic_string(), out);
-  SplitLines(content, &out->raw);
-  return true;
-}
-
-bool LoadFile(const fs::path& path, SourceFile* out) {
-  if (!LoadFileRaw(path, out)) return false;
-  StripToCode(out);
-  return true;
 }
 
 void CollectFiles(const fs::path& root, std::vector<fs::path>* out) {
@@ -199,32 +189,6 @@ void CollectFiles(const fs::path& root, std::vector<fs::path>* out) {
     std::string p = it->path().generic_string();
     if (HasSuffix(p, ".cc") || HasSuffix(p, ".h")) out->push_back(it->path());
   }
-}
-
-uint64_t Fnv1a64(const std::string& data, uint64_t seed) {
-  uint64_t h = seed;
-  for (char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t Fnv1a64(const std::string& data) {
-  return Fnv1a64(data, 14695981039346656037ULL);
-}
-
-std::string NormalizedRepoPath(const std::string& path) {
-  std::string generic = "/" + path;
-  size_t best = std::string::npos;
-  for (const char* seg : {"/src/", "/tools/", "/bench/", "/tests/"}) {
-    size_t at = generic.rfind(seg);
-    if (at != std::string::npos && (best == std::string::npos || at > best)) {
-      best = at;
-    }
-  }
-  if (best == std::string::npos) return path;
-  return generic.substr(best + 1);
 }
 
 }  // namespace lint

@@ -6,7 +6,6 @@
 #ifndef EXEA_TOOLS_LINT_SOURCE_H_
 #define EXEA_TOOLS_LINT_SOURCE_H_
 
-#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -43,42 +42,18 @@ void ParseWaivers(const std::string& comment, std::set<std::string>* out);
 // them. Comment text is mined for waivers before being dropped.
 void StripToCode(SourceFile* file);
 
-// Reads the whole file into one string (the unit the content hash and the
-// warm-cache path work on); false when it cannot be read.
+// Reads the whole file into one string; false when it cannot be read.
 bool ReadFileContent(const std::filesystem::path& path, std::string* out);
 
-// Fills the path-derived SourceFile fields (is_header, module, src_rel …)
-// without touching the filesystem.
-void ClassifyPath(const std::string& path_str, SourceFile* out);
-
-void SplitLines(const std::string& content, std::vector<std::string>* out);
-
-// ClassifyPath + SplitLines + StripToCode over already-read content.
+// Classifies the path (is_header, module, src_rel …), splits the content
+// into lines and runs StripToCode.
 void BuildSourceFile(const std::string& path_str, const std::string& content,
                      SourceFile* out);
-
-// Reads and classifies one file; false when it cannot be read. The raw
-// lines are split but StripToCode is NOT run (callers that hit the
-// analysis cache skip it).
-bool LoadFileRaw(const std::filesystem::path& path, SourceFile* out);
-
-// LoadFileRaw + StripToCode.
-bool LoadFile(const std::filesystem::path& path, SourceFile* out);
 
 // Recursively collects .cc/.h files under `root` (or `root` itself when
 // it is a regular file).
 void CollectFiles(const std::filesystem::path& root,
                   std::vector<std::filesystem::path>* out);
-
-// FNV-1a 64-bit over `data` — the content hash keying the analysis cache
-// and baseline fingerprints.
-uint64_t Fnv1a64(const std::string& data);
-uint64_t Fnv1a64(const std::string& data, uint64_t seed);
-
-// The path with everything before the last /src/, /tools/, or /bench/
-// segment removed, so baselines and fingerprints agree between absolute
-// and relative invocations ("a/b/src/net/x.cc" -> "src/net/x.cc").
-std::string NormalizedRepoPath(const std::string& path);
 
 }  // namespace lint
 

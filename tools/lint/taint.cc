@@ -656,7 +656,7 @@ class TaintPass {
               const std::string& message) {
     if (line >= 1 && Waived(files_[fi], line, "taint-unchecked-sink")) return;
     diags_.push_back(
-        {files_[fi].path, line, col, "taint-unchecked-sink", message, false});
+        {files_[fi].path, line, col, "taint-unchecked-sink", message});
   }
 
   // Include closures — same construction as the global pass; visibility

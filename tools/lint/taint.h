@@ -1,6 +1,6 @@
 // The untrusted-input dataflow pass: a declarative taint model
 // (tools/lint_taint.txt) naming the repo's sources, sanitizers and sinks,
-// a config-independent per-file fact sweep (cacheable alongside the other
+// a config-independent per-file fact sweep (stored with the other
 // FileSummary tables), and the cross-TU propagation that turns the facts
 // into `taint-unchecked-sink` findings with full source→sink chains.
 
@@ -70,9 +70,9 @@ bool ParseTaint(const std::filesystem::path& path, TaintConfig* config,
 // Collects the structural taint facts for one file into the summary:
 // assignments with their right-hand identifiers, calls with per-argument
 // identifier groups, structural sinks (indexing, loop bounds) and
-// EXEA_CHECK guards. Deliberately config-independent — which names are
-// sources or sinks is resolved by RunTaintPass — so a cached summary
-// stays valid when tools/lint_taint.txt changes.
+// EXEA_CHECK guards. Deliberately config-independent: which names are
+// sources or sinks is resolved by RunTaintPass, so an edit to
+// tools/lint_taint.txt changes findings without changing any summary.
 void CollectTaintFacts(const SourceFile& file, FileSummary* summary);
 
 // The cross-TU propagation: seeds taint at configured sources and
