@@ -13,8 +13,9 @@
 #      and clang-tidy (bugprone/performance/concurrency, see .clang-tidy)
 #      when a clang-tidy binary is on PATH,
 #   3. bench-load smoke: generate a tiny dataset, freeze a snapshot, and
-#      drive the async serving core with 8 concurrent clients — the run
-#      fails on any malformed or dropped response (exea_cli bench-load
+#      drive the async serving core with 8 concurrent clients, once in
+#      lockstep and once with 8 requests in flight per connection — the
+#      run fails on any malformed or dropped response (exea_cli bench-load
 #      exits non-zero),
 #   4. e2ebench: build the end-to-end benchmark from source and run its
 #      self-tests in reduced mode (python3 e2ebench/test_e2ebench.py) —
@@ -78,6 +79,11 @@ mkdir -p "${SMOKE_DIR}/data"
 # line is the assertion, not just a report.
 ./build/tools/exea_cli bench-load --bundle "${SMOKE_DIR}/bundle" \
   --clients 8 --requests 25 --op mixed
+# Pipelined: up to 8 requests in flight per connection, the traffic shape
+# where Nagle's algorithm held small responses until the peer's next
+# request carried the ACK.
+./build/tools/exea_cli bench-load --bundle "${SMOKE_DIR}/bundle" \
+  --clients 8 --requests 25 --pipeline 8 --op mixed
 # Hot-swap churn under the same load: a second bundle frozen from a
 # different training run is swapped in and out 5 times mid-traffic. Any
 # failed swap, malformed response, or dropped response fails the run.

@@ -5,7 +5,7 @@
 namespace exea::kg {
 
 uint32_t Dictionary::Intern(std::string_view name) {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(names_.size());
   names_.emplace_back(name);
@@ -14,7 +14,7 @@ uint32_t Dictionary::Intern(std::string_view name) {
 }
 
 uint32_t Dictionary::Lookup(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   return it == index_.end() ? UINT32_MAX : it->second;
 }
 

@@ -5,6 +5,7 @@
 #define EXEA_KG_DICTIONARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -33,8 +34,17 @@ class Dictionary {
   size_t size() const { return names_.size(); }
 
  private:
+  // Transparent hash: with std::equal_to<> it lets index_ look up a
+  // std::string_view without building a temporary std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, uint32_t> index_;
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>> index_;
 };
 
 }  // namespace exea::kg

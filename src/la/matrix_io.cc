@@ -1,40 +1,48 @@
 #include "la/matrix_io.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
+#include <charconv>
 #include <sstream>
+
+#include "util/check.h"
+#include "util/file.h"
+#include "util/parse.h"
 
 namespace exea::la {
 
-Status SaveMatrix(const Matrix& matrix, const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  std::fprintf(out, "%zu %zu\n", matrix.rows(), matrix.cols());
+void AppendMatrixRows(const Matrix& matrix, std::string* out) {
+  char buf[32];
   for (size_t r = 0; r < matrix.rows(); ++r) {
     const float* row = matrix.Row(r);
     for (size_t c = 0; c < matrix.cols(); ++c) {
-      std::fprintf(out, "%s%.9g", c == 0 ? "" : " ",
-                   static_cast<double>(row[c]));
+      if (c > 0) out->push_back(' ');
+      // The standard defines this as printf's "%.9g".
+      auto [end, ec] = std::to_chars(buf, buf + sizeof(buf),
+                                     static_cast<double>(row[c]),
+                                     std::chars_format::general, 9);
+      EXEA_DCHECK(ec == std::errc());
+      out->append(buf, end);
     }
-    std::fprintf(out, "\n");
+    out->push_back('\n');
   }
-  bool ok = std::fflush(out) == 0;
-  std::fclose(out);
-  if (!ok) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+}
+
+Status SaveMatrix(const Matrix& matrix, const std::string& path) {
+  std::string text =
+      std::to_string(matrix.rows()) + " " + std::to_string(matrix.cols()) +
+      "\n";
+  // A "%.9g" float takes at most 15 bytes, plus its separator.
+  text.reserve(text.size() + matrix.rows() * matrix.cols() * 16);
+  AppendMatrixRows(matrix, &text);
+  return WriteFile(path, text);
 }
 
 StatusOr<Matrix> LoadMatrix(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  util::NumberScanner in(*text);
   size_t rows = 0;
   size_t cols = 0;
-  if (!(in >> rows >> cols)) {
+  if (!in.Next(&rows) || !in.Next(&cols)) {
     return Status::InvalidArgument("bad matrix header in " + path);
   }
   // A garbled header can decode to absurd dimensions; refuse before the
@@ -54,7 +62,7 @@ StatusOr<Matrix> LoadMatrix(const std::string& path) {
   for (size_t r = 0; r < rows; ++r) {
     float* row = matrix.Row(r);
     for (size_t c = 0; c < cols; ++c) {
-      if (!(in >> row[c])) {
+      if (!in.Next(&row[c])) {
         std::ostringstream msg;
         msg << path << ": truncated at row " << r << " col " << c;
         return Status::InvalidArgument(msg.str());

@@ -1,7 +1,10 @@
 // Plain-text persistence for dense matrices (embedding tables).
 //
 // Format: first line "rows cols", then one whitespace-separated row per
-// line, full float precision (%.9g round-trips IEEE single).
+// line, full float precision (%.9g round-trips IEEE single). The loader
+// reads the file into one buffer and takes each value through
+// util::NumberScanner, so every value token must be a whole, finite
+// decimal float; bytes after the last value are ignored.
 
 #ifndef EXEA_LA_MATRIX_IO_H_
 #define EXEA_LA_MATRIX_IO_H_
@@ -16,6 +19,10 @@ namespace exea::la {
 [[nodiscard]] Status SaveMatrix(const Matrix& matrix, const std::string& path);
 
 [[nodiscard]] StatusOr<Matrix> LoadMatrix(const std::string& path);
+
+// Appends the rows of `matrix` in the body format above: one line per
+// row, values separated by single spaces, each formatted as "%.9g".
+void AppendMatrixRows(const Matrix& matrix, std::string* out);
 
 }  // namespace exea::la
 

@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "la/matrix_io.h"
 #include "la/simd.h"
 #include "obs/span.h"
 #include "util/check.h"
+#include "util/file.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace exea::la {
@@ -252,51 +254,40 @@ Status ValidateIvfIndexData(const IvfIndexData& data, size_t table_rows,
 // ---------------------------------------------------------------------------
 
 Status SaveIvfIndexData(const IvfIndexData& data, const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
   size_t rows = 0;
   for (const auto& list : data.lists) rows += list.size();
-  std::fprintf(out, "exea_ivf_index 1\n");
-  std::fprintf(out, "%zu %zu %zu %" PRIu32 " %" PRIu32 " %" PRIu64 "\n",
-               data.centroids.rows(), data.centroids.cols(), rows,
-               data.nprobe, data.iterations, data.seed);
-  for (size_t c = 0; c < data.centroids.rows(); ++c) {
-    const float* row = data.centroids.Row(c);
-    for (size_t d = 0; d < data.centroids.cols(); ++d) {
-      std::fprintf(out, "%s%.9g", d == 0 ? "" : " ",
-                   static_cast<double>(row[d]));
-    }
-    std::fprintf(out, "\n");
-  }
+  std::string text = StrFormat(
+      "exea_ivf_index 1\n%zu %zu %zu %" PRIu32 " %" PRIu32 " %" PRIu64 "\n",
+      data.centroids.rows(), data.centroids.cols(), rows, data.nprobe,
+      data.iterations, data.seed);
+  AppendMatrixRows(data.centroids, &text);
   for (const auto& list : data.lists) {
-    std::fprintf(out, "%zu", list.size());
-    for (uint32_t id : list) std::fprintf(out, " %" PRIu32, id);
-    std::fprintf(out, "\n");
+    text += std::to_string(list.size());
+    for (uint32_t id : list) {
+      text.push_back(' ');
+      text += std::to_string(id);
+    }
+    text.push_back('\n');
   }
-  bool ok = std::fflush(out) == 0;
-  std::fclose(out);
-  if (!ok) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteFile(path, text);
 }
 
 StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::string magic;
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  util::NumberScanner in(*text);
   uint64_t version = 0;
-  if (!(in >> magic >> version) || magic != "exea_ivf_index" || version != 1) {
+  if (in.NextToken() != "exea_ivf_index" || !in.Next(&version) ||
+      version != 1) {
     return Status::InvalidArgument("bad ivf index header in " + path);
   }
   size_t clusters = 0;
   size_t dim = 0;
   size_t rows = 0;
   IvfIndexData data;
-  if (!(in >> clusters >> dim >> rows >> data.nprobe >> data.iterations >>
-        data.seed)) {
+  if (!in.Next(&clusters) || !in.Next(&dim) || !in.Next(&rows) ||
+      !in.Next(&data.nprobe) || !in.Next(&data.iterations) ||
+      !in.Next(&data.seed)) {
     return Status::InvalidArgument("bad ivf index dimensions in " + path);
   }
   // Same pre-allocation guard as LoadMatrix: refuse absurd sizes before
@@ -314,7 +305,7 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
   for (size_t c = 0; c < clusters; ++c) {
     float* row = data.centroids.Row(c);
     for (size_t d = 0; d < dim; ++d) {
-      if (!(in >> row[d])) {
+      if (!in.Next(&row[d])) {
         std::ostringstream msg;
         msg << path << ": truncated centroid " << c;
         return Status::InvalidArgument(msg.str());
@@ -325,14 +316,14 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
   size_t total = 0;
   for (size_t c = 0; c < clusters; ++c) {
     size_t len = 0;
-    if (!(in >> len) || len > rows) {
+    if (!in.Next(&len) || len > rows) {
       std::ostringstream msg;
       msg << path << ": bad posting list length for list " << c;
       return Status::InvalidArgument(msg.str());
     }
     data.lists[c].resize(len);
     for (size_t p = 0; p < len; ++p) {
-      if (!(in >> data.lists[c][p])) {
+      if (!in.Next(&data.lists[c][p])) {
         std::ostringstream msg;
         msg << path << ": truncated posting list " << c;
         return Status::InvalidArgument(msg.str());

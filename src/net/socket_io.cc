@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,6 +11,20 @@
 #include "util/string_util.h"
 
 namespace exea::net {
+namespace {
+
+// Sends each small response (or request) as soon as it is written. The
+// event loop already batches every ready response into one write per
+// connection, so Nagle's algorithm only adds delay: with more than one
+// request in flight it holds a small segment until the previous one is
+// acknowledged, which a delayed-ACK peer does only when its next request
+// goes out.
+bool SetNoDelay(int fd) {
+  int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+}
+
+}  // namespace
 
 StatusOr<int> ListenOn(int port, int backlog) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -55,6 +70,10 @@ StatusOr<int> ConnectLocal(int port) {
     ::close(fd);
     return Status::IoError(StrFormat("cannot connect to 127.0.0.1:%d", port));
   }
+  if (!SetNoDelay(fd)) {
+    ::close(fd);
+    return Status::IoError("setsockopt(TCP_NODELAY) failed");
+  }
   return fd;
 }
 
@@ -72,7 +91,14 @@ int AcceptNonBlocking(int listener) {
     // EAGAIN instead of parking the loop thread.
     // exea-lint: allow(loop-blocking)
     int client = ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK);
-    if (client >= 0 || errno != EINTR) return client;
+    if (client < 0 && errno == EINTR) continue;
+    if (client >= 0 && !SetNoDelay(client)) {
+      int saved = errno;
+      ::close(client);
+      errno = saved;
+      return -1;
+    }
+    return client;
   }
 }
 

@@ -36,7 +36,8 @@ inline constexpr int kListenBacklog = 128;
 // The port a bound socket actually listens on (for port-0 listeners).
 [[nodiscard]] StatusOr<int> BoundPort(int fd);
 
-// Connects to 127.0.0.1:`port` (blocking). Returns the connected fd.
+// Connects to 127.0.0.1:`port` (blocking) with TCP_NODELAY set. Returns
+// the connected fd.
 [[nodiscard]] StatusOr<int> ConnectLocal(int port);
 
 // Puts `fd` into non-blocking mode.
@@ -44,9 +45,10 @@ inline constexpr int kListenBacklog = 128;
 
 // accept4(SOCK_NONBLOCK) retrying EINTR: the client socket is born
 // non-blocking, closing the window where a fd accepted on the event-loop
-// thread could block before SetNonBlocking ran. Returns the client fd, or
-// -1 with errno set for any other failure (including EAGAIN on a
-// non-blocking listener). This is the only accept the loop thread may call.
+// thread could block before SetNonBlocking ran. TCP_NODELAY is set on it.
+// Returns the client fd, or -1 with errno set for any other failure
+// (including EAGAIN on a non-blocking listener). This is the only accept
+// the loop thread may call.
 int AcceptNonBlocking(int listener);
 
 // Writes all `len` bytes, retrying EINTR and continuing through short

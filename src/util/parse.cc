@@ -103,5 +103,14 @@ Status ParseUint64Hex(const std::string& text, uint64_t* out) {
   return Status::Ok();
 }
 
+std::string_view NumberScanner::NextToken() {
+  SkipSpace();
+  size_t i = 0;
+  while (i < rest_.size() && !IsSpace(rest_[i])) ++i;
+  std::string_view token = rest_.substr(0, i);
+  rest_.remove_prefix(i);
+  return token;
+}
+
 }  // namespace util
 }  // namespace exea

@@ -3,20 +3,23 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/file.h"
 #include "util/string_util.h"
 
 namespace exea {
 
 StatusOr<std::vector<std::vector<std::string>>> ReadTsv(
     const std::string& path, size_t min_fields) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
   std::vector<std::vector<std::string>> rows;
-  std::string line;
+  std::string_view rest = *text;
   size_t line_no = 0;
-  while (std::getline(in, line)) {
+  while (!rest.empty()) {
+    size_t newline = rest.find('\n');
+    std::string_view line = rest.substr(0, newline);
+    rest.remove_prefix(newline == std::string_view::npos ? rest.size()
+                                                         : newline + 1);
     ++line_no;
     std::string_view trimmed = Trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;

@@ -464,5 +464,58 @@ TEST_F(HostileInputTest, LoadMatrixRefusesHostileHeadersBeforeAllocating) {
   }
 }
 
+// Each value token must parse whole as a finite float. The bad token sits
+// last, where a parser that stops at the first unusable byte would
+// accept its numeric prefix and never look at the rest.
+TEST_F(HostileInputTest, LoadMatrixRejectsMalformedValueTokens) {
+  std::string dir = Scratch("matrix_tokens");
+  fs::create_directories(dir);
+  const char* tokens[] = {"nan",   "inf",    "-inf", "1e39", "0x1p3",
+                          "1.5e",  "1.5abc", "+-1",  "+1",   "1e-50"};
+  for (const char* token : tokens) {
+    std::string path = dir + "/m.txt";
+    WriteFileBytes(path, std::string("2 2\n1 2\n3 ") + token + "\n");
+    auto matrix = la::LoadMatrix(path);
+    ASSERT_FALSE(matrix.ok()) << token << " was accepted";
+    EXPECT_EQ(matrix.status().code(), StatusCode::kInvalidArgument) << token;
+    EXPECT_NE(matrix.status().message().find("truncated at row 1 col 1"),
+              std::string::npos)
+        << token << ": " << matrix.status().message();
+  }
+  std::string empty_body = dir + "/empty.txt";
+  WriteFileBytes(empty_body, "2 2\n");
+  auto matrix = la::LoadMatrix(empty_body);
+  ASSERT_FALSE(matrix.ok());
+  EXPECT_EQ(matrix.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(matrix.status().message().find("truncated at row 0 col 0"),
+            std::string::npos)
+      << matrix.status().message();
+}
+
+// A matrix file cut at any byte either fails cleanly or, when the cut
+// only shortens the last token, still yields the declared shape.
+TEST_F(HostileInputTest, LoadMatrixSurvivesTruncationAtEveryOffset) {
+  std::string dir = Scratch("matrix_truncated");
+  fs::create_directories(dir);
+  la::Matrix m(2, 3);
+  const float values[] = {1.5f, -0.25f, 3.0e-39f, 1e30f, -0.0f, 0.125f};
+  for (size_t i = 0; i < 6; ++i) m.Row(i / 3)[i % 3] = values[i];
+  std::string path = dir + "/whole.txt";
+  ASSERT_TRUE(la::SaveMatrix(m, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    std::string cut = dir + "/cut.txt";
+    WriteFileBytes(cut, bytes.substr(0, keep));
+    auto loaded = la::LoadMatrix(cut);
+    if (loaded.ok()) {
+      EXPECT_EQ(loaded->rows(), 2u) << "cut at " << keep;
+      EXPECT_EQ(loaded->cols(), 3u) << "cut at " << keep;
+    } else {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << "cut at " << keep << ": " << loaded.status().message();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace exea

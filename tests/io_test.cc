@@ -3,7 +3,14 @@
 
 #include <unistd.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,19 +38,72 @@ class IoTest : public ::testing::Test {
 
 // ---------------------------------------------------------------- matrix
 
+// Every finite float the writer can meet: both zeros, the denormal range
+// from FLT_TRUE_MIN up, the normal extremes, and random bit patterns.
+std::vector<float> EdgeAndRandomFloats() {
+  std::vector<float> values = {
+      0.0f,        -0.0f,   FLT_TRUE_MIN, -FLT_TRUE_MIN, 3 * FLT_TRUE_MIN,
+      FLT_MIN / 2, std::nextafter(FLT_MIN, 0.0f),  FLT_MIN,  -FLT_MIN,
+      FLT_MAX,     -FLT_MAX, 1.0f,         -0.1f};
+  Rng rng(17);
+  while (values.size() < 4096) {
+    uint32_t bits = static_cast<uint32_t>(rng.Next());
+    float value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) values.push_back(value);
+  }
+  return values;
+}
+
+la::Matrix MatrixOf(const std::vector<float>& values, size_t cols) {
+  la::Matrix m(values.size() / cols, cols);
+  std::memcpy(m.Row(0), values.data(), m.rows() * cols * sizeof(float));
+  return m;
+}
+
+// Bit-exact, so -0 stays -0 and every denormal keeps its last bit.
 TEST_F(IoTest, MatrixRoundTripExact) {
   Rng rng(4);
-  la::Matrix m(7, 5);
-  m.FillNormal(rng, 1.5f);
-  std::string path = (dir_ / "m.txt").string();
-  ASSERT_TRUE(la::SaveMatrix(m, path).ok());
-  auto loaded = la::LoadMatrix(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->rows(), 7u);
-  ASSERT_EQ(loaded->cols(), 5u);
-  for (size_t i = 0; i < m.data().size(); ++i) {
-    EXPECT_EQ(m.data()[i], loaded->data()[i]) << "lossy at " << i;
+  la::Matrix normal(7, 5);
+  normal.FillNormal(rng, 1.5f);
+  for (const la::Matrix& m : {normal, MatrixOf(EdgeAndRandomFloats(), 16)}) {
+    std::string path = (dir_ / "m.txt").string();
+    ASSERT_TRUE(la::SaveMatrix(m, path).ok());
+    auto loaded = la::LoadMatrix(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->rows(), m.rows());
+    ASSERT_EQ(loaded->cols(), m.cols());
+    for (size_t i = 0; i < m.data().size(); ++i) {
+      uint32_t want;
+      uint32_t got;
+      std::memcpy(&want, &m.data()[i], sizeof(want));
+      std::memcpy(&got, &loaded->data()[i], sizeof(got));
+      ASSERT_EQ(got, want) << "lossy at " << i << " (" << m.data()[i] << ")";
+    }
   }
+}
+
+// SaveMatrix writes exactly printf("%.9g") text, the format existing
+// bundles and their MANIFEST checksums were written in.
+TEST_F(IoTest, SaveMatrixWritesPrintfBytes) {
+  la::Matrix m = MatrixOf(EdgeAndRandomFloats(), 16);
+  std::string expected =
+      std::to_string(m.rows()) + " " + std::to_string(m.cols()) + "\n";
+  char buf[64];
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) {
+      std::snprintf(buf, sizeof(buf), "%s%.9g", c == 0 ? "" : " ",
+                    static_cast<double>(m.At(r, c)));
+      expected += buf;
+    }
+    expected += "\n";
+  }
+  std::string path = (dir_ / "printf.txt").string();
+  ASSERT_TRUE(la::SaveMatrix(m, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), expected);
 }
 
 TEST_F(IoTest, MatrixEmptyRoundTrip) {

@@ -40,6 +40,17 @@ TEST(DictionaryTest, LookupAndName) {
   EXPECT_TRUE(dict.Contains("x"));
 }
 
+TEST(DictionaryTest, LooksUpThroughAViewIntoALargerBuffer) {
+  Dictionary dict;
+  uint32_t id = dict.Intern("en/Beta");
+  const std::string buffer = "zh/Alpha\ten/Beta\ten/Gamma";
+  std::string_view name = std::string_view(buffer).substr(9, 7);
+  EXPECT_EQ(dict.Lookup(name), id);
+  EXPECT_EQ(dict.Intern(name), id);
+  EXPECT_EQ(dict.Lookup(std::string_view(buffer).substr(9, 6)), UINT32_MAX);
+  EXPECT_EQ(dict.size(), 1u);
+}
+
 TEST(DictionaryTest, IdsAreDenseInInsertionOrder) {
   Dictionary dict;
   EXPECT_EQ(dict.Intern("a"), 0u);

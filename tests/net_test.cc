@@ -3,10 +3,14 @@
 // framing guarantees — partial reads, partial writes, response reordering,
 // oversized-line rejection, the connection cap, and drain semantics.
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -127,6 +131,41 @@ TEST(SocketIoTest, ListenBacklogConstantIsReal) {
   // The historical listen(fd, 1) refused concurrent connects; the shared
   // constant must stay comfortably above one.
   EXPECT_GE(net::kListenBacklog, 64);
+}
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+// Nagle's algorithm would hold a small response while an earlier one on
+// the same connection is unacknowledged, stalling pipelined requests.
+TEST(SocketIoTest, AcceptedAndConnectedSocketsSetNoDelay) {
+  auto listener = net::ListenOn(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  ASSERT_TRUE(net::SetNonBlocking(*listener).ok());
+  auto port = net::BoundPort(*listener);
+  ASSERT_TRUE(port.ok());
+  auto client = net::ConnectLocal(*port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  int server = -1;
+  for (int attempt = 0; attempt < 1000 && server < 0; ++attempt) {
+    server = net::AcceptNonBlocking(*listener);
+    if (server < 0) {
+      ASSERT_EQ(errno, EAGAIN);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_GE(server, 0) << "the connect never reached the accept queue";
+
+  EXPECT_NE(NoDelayOf(*client), 0);
+  EXPECT_NE(NoDelayOf(server), 0);
+  ::close(server);
+  ::close(*client);
+  ::close(*listener);
 }
 
 TEST(SocketIoTest, LineReaderSplitsAndMeasuresOversized) {

@@ -1475,6 +1475,15 @@ TEST_F(AsyncServerTest, FullQueueRejectsImmediatelyWithUnavailable) {
   // The worker is held and the queue is empty: the next two requests
   // fill it, and the two after that must be rejected at admission.
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(client.Send(request));
+  // Open the gate only once the loop has read all four. Each request
+  // leaves the client in its own segment (TCP_NODELAY), so a gate opened
+  // as soon as the writes return lets the worker drain the queue before
+  // the loop reads the last two.
+  for (int waited_ms = 0;
+       registry_.CounterValue("serve.rejected") < 2 && waited_ms < 5000;
+       ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   {
     std::unique_lock<std::mutex> lock(gate_mu);
     gate_open = true;

@@ -281,6 +281,41 @@ TEST_F(TsvTest, SkipsCommentsAndBlankLines) {
   EXPECT_EQ(read->size(), 2u);
 }
 
+// ReadTsv splits lines out of one buffer: a CRLF file, a last line
+// without its newline, and comment and blank lines must give the same
+// rows and the same line numbers as the plain LF file.
+TEST_F(TsvTest, LineEndingsKeepRowsAndLineNumbers) {
+  const std::string lf = "# comment\n\na\tb\n  \nc\td\ne\tf";
+  std::string crlf;
+  for (char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  const std::vector<std::vector<std::string>> want = {
+      {"a", "b"}, {"c", "d"}, {"e", "f"}};
+  for (const std::string& text : {lf, crlf, lf + "\n", crlf + "\r\n"}) {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    auto read = ReadTsv(path_.string(), 2);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, want);
+    // Requiring a third field fails on the first data row, line 3.
+    auto strict = ReadTsv(path_.string(), 3);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_NE(strict.status().message().find(".tsv:3: "), std::string::npos)
+        << strict.status().message();
+  }
+  // The unterminated last line is still numbered: line 7 of this file.
+  std::FILE* f = std::fopen(path_.c_str(), "wb");
+  std::fputs((crlf + "\r\nshort").c_str(), f);
+  std::fclose(f);
+  auto read = ReadTsv(path_.string(), 2);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find(".tsv:7: "), std::string::npos)
+      << read.status().message();
+}
+
 TEST_F(TsvTest, RejectsShortRows) {
   std::FILE* f = std::fopen(path_.c_str(), "w");
   std::fputs("only_one_field\n", f);
