@@ -283,38 +283,6 @@ void BM_SnapshotSwap(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotSwap)->Unit(benchmark::kMillisecond);
 
-// Scatter-gather top-k at 1..8 shards over the same table: the result is
-// bit-identical at every shard count, so the only question is where the
-// merge overhead crosses the per-shard parallelism win. items/sec is
-// queries answered.
-void BM_ShardedEngineTopK(benchmark::State& state) {
-  size_t shards = static_cast<size_t>(state.range(0));
-  serve::EngineOptions options;
-  options.shards = shards;
-  auto opened = serve::QueryEngine::Open(BundleDir(), options);
-  if (!opened.ok()) {
-    state.SkipWithError("engine open failed");
-    return;
-  }
-  serve::QueryEngine* engine = opened->get();
-  State& s = GetState();
-  std::vector<kg::AlignedPair> pairs = s.aligned.SortedPairs();
-  std::vector<std::string> names;
-  for (size_t i = 0; i < 32 && i < pairs.size(); ++i) {
-    names.push_back(s.dataset.kg1.EntityName(pairs[i].source));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        engine->AlignBatch(names, serve::Deadline::None()));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(names.size()));
-}
-BENCHMARK(BM_ShardedEngineTopK)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->ArgName("exea_serve_shards")
-    ->Unit(benchmark::kMicrosecond);
-
 // ------------------------------------------------- observability overhead
 //
 // The obs primitives sit on serving and pipeline hot paths; these pin what
@@ -570,9 +538,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "exea_obs_metrics_count",
       std::to_string(exea::obs::Registry::Global().MetricCount()));
-  // The shard counts BM_ShardedEngineTopK sweeps, so a recorded sharded
-  // serving number names the partition layouts it covered.
-  benchmark::AddCustomContext("exea_serve_shards", "1,2,4,8");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

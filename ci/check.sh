@@ -30,8 +30,8 @@
 #      (serve_test, incl. SwapChurnWhileAlignsStayInFlight,
 #      ConcurrentAlignsMatchHandleLine and
 #      HotSwapUnderConcurrentLoadDropsNothing), the SIMD kernels under
-#      the parallel similarity scans (simd_test), and the exact, IVF and
-#      sharded indexes queried from pool workers (index_test),
+#      the parallel similarity scans (simd_test), and the exact and IVF
+#      indexes queried from pool workers (index_test),
 #   6. asan+ubsan: the full ctest suite under AddressSanitizer +
 #      UndefinedBehaviorSanitizer with EXEA_DCHECKS=ON, so the contract
 #      layer (src/util/check.h) is exercised together with the

@@ -16,7 +16,7 @@ namespace {
 // thread count; each row is written by exactly one task.
 constexpr size_t kRowGrain = 16;
 
-// Table rows scored per dot_rows call in TopKRangeWithNorms; the scores
+// Table rows scored per dot_rows call in TopKWithNorms; the scores
 // live in a stack buffer of this many floats.
 constexpr size_t kScoreBlock = 256;
 
@@ -27,17 +27,10 @@ constexpr size_t kScoreBlock = 256;
 // norms (and everything derived from them) stay bit-identical across
 // SIMD levels.
 std::vector<float> RowInverseNorms(const Matrix& m) {
-  return RowInverseNormsRange(m, 0, m.rows());
-}
-
-std::vector<float> RowInverseNormsRange(const Matrix& m, size_t row_begin,
-                                        size_t row_end) {
-  EXEA_CHECK_LE(row_begin, row_end);
-  EXEA_CHECK_LE(row_end, m.rows());
   const SimdOps& ops = ActiveSimdOps();
-  std::vector<float> inv(row_end - row_begin);
+  std::vector<float> inv(m.rows());
   util::ParallelFor(0, inv.size(), /*grain=*/256, [&](size_t i) {
-    const float* row = m.Row(row_begin + i);
+    const float* row = m.Row(i);
     float norm = std::sqrt(ops.dot(row, row, m.cols()));
     inv[i] = norm > 1e-12f ? 1.0f / norm : 0.0f;
   });
@@ -60,21 +53,12 @@ bool ScoredLess(const ScoredIndex& a, const ScoredIndex& b) {
 std::vector<ScoredIndex> TopKWithNorms(const float* query, const Matrix& table,
                                        const std::vector<float>& inv_table,
                                        size_t k) {
-  // Contract with both callers: one precomputed inverse norm per table row.
-  // A mismatch would read stale norms and silently mis-rank candidates.
+  // Contract with every caller: one precomputed inverse norm per table
+  // row. A mismatch would read stale norms and silently mis-rank
+  // candidates.
   EXEA_DCHECK_EQ(inv_table.size(), table.rows());
-  return TopKRangeWithNorms(query, table, inv_table, 0, table.rows(), k);
-}
-
-std::vector<ScoredIndex> TopKRangeWithNorms(const float* query,
-                                            const Matrix& table,
-                                            const std::vector<float>& inv_range,
-                                            size_t row_begin, size_t row_end,
-                                            size_t k) {
-  EXEA_DCHECK_LE(row_begin, row_end);
-  EXEA_DCHECK_LE(row_end, table.rows());
-  EXEA_DCHECK_EQ(inv_range.size(), row_end - row_begin);
   const SimdOps& ops = ActiveSimdOps();
+  const size_t rows = table.rows();
   const size_t dim = table.cols();
   float qnorm = std::sqrt(ops.dot(query, query, dim));
   float qinv = qnorm > 1e-12f ? 1.0f / qnorm : 0.0f;
@@ -82,15 +66,15 @@ std::vector<ScoredIndex> TopKRangeWithNorms(const float* query,
   // so far, and a row enters only if it ranks strictly before that one.
   // ScoredLess is a strict total order, so the kept set and its sorted
   // order are exactly the prefix a full sort would return.
-  const size_t keep = std::min(k, row_end - row_begin);
+  const size_t keep = std::min(k, rows);
   std::vector<ScoredIndex> heap;
   heap.reserve(keep);
   if (keep == 0) return heap;
   float dots[kScoreBlock];
-  for (size_t block = row_begin; block < row_end; block += kScoreBlock) {
-    size_t count = std::min(kScoreBlock, row_end - block);
+  for (size_t block = 0; block < rows; block += kScoreBlock) {
+    size_t count = std::min(kScoreBlock, rows - block);
     ops.dot_rows(query, table.Row(block), count, dim, dots);
-    const float* inv = inv_range.data() + (block - row_begin);
+    const float* inv = inv_table.data() + block;
     for (size_t r = 0; r < count; ++r) {
       ScoredIndex candidate{static_cast<uint32_t>(block + r),
                             (dots[r] * qinv) * inv[r]};

@@ -33,14 +33,6 @@ bool ScoredLess(const ScoredIndex& a, const ScoredIndex& b);
 // active SIMD kernels (see la/simd.h).
 std::vector<float> RowInverseNorms(const Matrix& m);
 
-// Inverse norms for rows [row_begin, row_end) only; result[i] is the
-// inverse norm of row row_begin + i. Each entry is the same value
-// RowInverseNorms would produce for that row (per-row computation, no
-// cross-row state), so shard-local norms compose bit-identically with
-// the full-table scan.
-std::vector<float> RowInverseNormsRange(const Matrix& m, size_t row_begin,
-                                        size_t row_end);
-
 // Top-k table rows for one query given precomputed table inverse norms
 // (inv_table.size() must equal table.rows()). Result is sorted by
 // ScoredLess and has min(k, table.rows()) entries. Shared by
@@ -48,21 +40,6 @@ std::vector<float> RowInverseNormsRange(const Matrix& m, size_t row_begin,
 std::vector<ScoredIndex> TopKWithNorms(const float* query, const Matrix& table,
                                        const std::vector<float>& inv_table,
                                        size_t k);
-
-// Top-k over the row range [row_begin, row_end) only. `inv_range` holds
-// one inverse norm per range row (inv_range[j - row_begin] for row j);
-// result indices are GLOBAL table row ids, sorted by ScoredLess with
-// min(k, row_end - row_begin) entries. Because ScoredLess is a strict
-// total order (score ties break on the unique row id), concatenating the
-// per-shard top-k of a disjoint row partition and re-sorting reproduces
-// the full-table TopKWithNorms output bit for bit — the invariant the
-// sharded serving engine's scatter-gather merge rests on (pinned by
-// index_test / determinism_test).
-std::vector<ScoredIndex> TopKRangeWithNorms(const float* query,
-                                            const Matrix& table,
-                                            const std::vector<float>& inv_range,
-                                            size_t row_begin, size_t row_end,
-                                            size_t k);
 
 // For a query vector, returns the k highest-cosine rows of `table`,
 // sorted by descending score (ties broken by ascending index for

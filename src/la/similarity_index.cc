@@ -15,7 +15,6 @@
 #include "util/parse.h"
 #include "util/rng.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace exea::la {
 namespace {
@@ -64,22 +63,12 @@ size_t NearestCentroid(const float* row, const Matrix& centroids,
 // ---------------------------------------------------------------------------
 
 ExactIndex::ExactIndex(const Matrix* table, obs::Registry* registry)
-    : ExactIndex(table, 0, table != nullptr ? table->rows() : 0, registry) {}
-
-ExactIndex::ExactIndex(const Matrix* table, size_t row_begin, size_t row_end,
-                       obs::Registry* registry)
     : table_(table),
-      row_begin_(row_begin),
-      row_end_(row_end),
-      inv_norms_(RowInverseNormsRange(*table, row_begin, row_end)),
+      inv_norms_(RowInverseNorms(*table)),
       registry_(registry),
       queries_(Reg(registry).GetCounter("index.exact.queries")) {
   EXEA_CHECK(table != nullptr);
-  EXEA_CHECK_LE(row_begin_, row_end_);
-  EXEA_CHECK_LE(row_end_, table_->rows());
 }
-
-size_t ExactIndex::size() const { return row_end_ - row_begin_; }
 
 std::vector<std::vector<ScoredIndex>> ExactIndex::TopKAll(
     const Matrix& queries, size_t k) const {
@@ -88,8 +77,7 @@ std::vector<std::vector<ScoredIndex>> ExactIndex::TopKAll(
   queries_.Increment(queries.rows());
   std::vector<std::vector<ScoredIndex>> out(queries.rows());
   util::ParallelFor(0, queries.rows(), kRowGrain, [&](size_t i) {
-    out[i] = TopKRangeWithNorms(queries.Row(i), *table_, inv_norms_,
-                                row_begin_, row_end_, k);
+    out[i] = TopKWithNorms(queries.Row(i), *table_, inv_norms_, k);
   });
   return out;
 }
@@ -166,23 +154,6 @@ IvfIndexData TrainIvfIndex(const Matrix& table, const IvfOptions& options) {
   data.iterations = static_cast<uint32_t>(options.iterations);
   data.seed = options.seed;
   return data;
-}
-
-IvfIndexData ShardIvfIndexData(const IvfIndexData& data, size_t row_begin,
-                               size_t row_end) {
-  EXEA_CHECK_LE(row_begin, row_end);
-  IvfIndexData shard;
-  shard.centroids = data.centroids;
-  shard.lists.assign(data.lists.size(), {});
-  for (size_t c = 0; c < data.lists.size(); ++c) {
-    for (uint32_t id : data.lists[c]) {
-      if (id >= row_begin && id < row_end) shard.lists[c].push_back(id);
-    }
-  }
-  shard.nprobe = data.nprobe;
-  shard.iterations = data.iterations;
-  shard.seed = data.seed;
-  return shard;
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +322,6 @@ IvfIndex::IvfIndex(const Matrix* table, const IvfIndexData* data,
       inv_norms_(RowInverseNorms(*table)),
       centroid_inv_norms_(RowInverseNorms(data->centroids)),
       nprobe_(data->nprobe),
-      indexed_rows_(0),
       registry_(registry),
       queries_(Reg(registry).GetCounter("index.ivf.queries")),
       probes_(Reg(registry).GetCounter("index.recall_probe")),
@@ -360,10 +330,7 @@ IvfIndex::IvfIndex(const Matrix* table, const IvfIndexData* data,
   EXEA_CHECK(data != nullptr);
   EXEA_CHECK(!data->empty());
   nprobe_ = std::max<size_t>(1, std::min(nprobe_, num_clusters()));
-  for (const auto& list : data_->lists) indexed_rows_ += list.size();
 }
-
-size_t IvfIndex::size() const { return indexed_rows_; }
 
 size_t IvfIndex::num_clusters() const { return data_->centroids.rows(); }
 
@@ -423,72 +390,6 @@ std::vector<std::vector<ScoredIndex>> IvfIndex::TopKAll(const Matrix& queries,
   size_t candidates = 0;
   for (size_t s : scanned) candidates += s;
   candidates_.Increment(candidates);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedIndex scatter-gather
-// ---------------------------------------------------------------------------
-
-ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<SimilarityIndex>> shards,
-                           const std::string& metric_prefix,
-                           obs::Registry* registry)
-    : shards_(std::move(shards)) {
-  EXEA_CHECK(!shards_.empty());
-  for (const auto& shard : shards_) {
-    EXEA_CHECK(shard != nullptr);
-    // A mixed fleet would make name() ambiguous and the merge contract
-    // (per-shard exactness class) unclear; the engine never builds one.
-    EXEA_CHECK_EQ(std::string(shard->name()), std::string(shards_[0]->name()));
-  }
-  if (!metric_prefix.empty()) {
-    obs::Registry& reg = Reg(registry);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shard_ms_.push_back(&reg.GetHistogram("span." + metric_prefix + "." +
-                                            std::to_string(s)));
-    }
-    merge_ms_ = &reg.GetHistogram("span." + metric_prefix + ".merge");
-  }
-}
-
-const char* ShardedIndex::name() const { return shards_[0]->name(); }
-
-size_t ShardedIndex::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->size();
-  return total;
-}
-
-std::vector<std::vector<ScoredIndex>> ShardedIndex::TopKAll(
-    const Matrix& queries, size_t k) const {
-  // Scatter: every shard scans the whole batch over its own row range.
-  // Per-shard timings go to explicit histogram paths (not nested Spans)
-  // so the metric name is stable no matter which thread runs the shard.
-  std::vector<std::vector<std::vector<ScoredIndex>>> parts(shards_.size());
-  util::ParallelFor(0, shards_.size(), /*grain=*/1, [&](size_t s) {
-    WallTimer timer;
-    parts[s] = shards_[s]->TopKAll(queries, k);
-    if (!shard_ms_.empty()) shard_ms_[s]->Record(timer.ElapsedMillis());
-  });
-
-  // Gather: concatenate the disjoint per-shard candidates and re-sort
-  // with the canonical comparator. ScoredLess is a strict total order
-  // (unique row ids break score ties), so for exact shards this prefix
-  // is bit-identical to the single-shard full scan's.
-  WallTimer merge_timer;
-  std::vector<std::vector<ScoredIndex>> out(queries.rows());
-  util::ParallelFor(0, queries.rows(), kRowGrain, [&](size_t i) {
-    std::vector<ScoredIndex> merged;
-    for (size_t s = 0; s < parts.size(); ++s) {
-      merged.insert(merged.end(), parts[s][i].begin(), parts[s][i].end());
-    }
-    size_t keep = std::min(k, merged.size());
-    std::partial_sort(merged.begin(), merged.begin() + keep, merged.end(),
-                      ScoredLess);
-    merged.resize(keep);
-    out[i] = std::move(merged);
-  });
-  if (merge_ms_ != nullptr) merge_ms_->Record(merge_timer.ElapsedMillis());
   return out;
 }
 

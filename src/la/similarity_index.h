@@ -36,7 +36,6 @@
 #define EXEA_LA_SIMILARITY_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,22 +73,14 @@ class ExactIndex final : public SimilarityIndex {
   // `registry` receives index.* counters; nullptr → Registry::Global().
   explicit ExactIndex(const Matrix* table, obs::Registry* registry = nullptr);
 
-  // Shard constructor: scans only rows [row_begin, row_end) but reports
-  // GLOBAL row ids, so per-shard results over a disjoint partition
-  // concatenate into the full-table ranking (see TopKRangeWithNorms).
-  ExactIndex(const Matrix* table, size_t row_begin, size_t row_end,
-             obs::Registry* registry = nullptr);
-
   const char* name() const override { return "exact"; }
-  size_t size() const override;
+  size_t size() const override { return table_->rows(); }
   std::vector<std::vector<ScoredIndex>> TopKAll(const Matrix& queries,
                                                 size_t k) const override;
 
  private:
   const Matrix* table_;
-  size_t row_begin_;
-  size_t row_end_;
-  std::vector<float> inv_norms_;  // one per range row
+  std::vector<float> inv_norms_;  // one per table row
   obs::Registry* registry_;
   obs::Counter& queries_;  // index.exact.queries
 };
@@ -126,15 +117,6 @@ struct IvfIndexData {
 // bias is harmless — they score 0 against everything anyway).
 IvfIndexData TrainIvfIndex(const Matrix& table, const IvfOptions& options);
 
-// Restricts trained index data to the rows in [row_begin, row_end):
-// centroids and probe width are shared, posting lists keep only the ids
-// inside the range (still GLOBAL ids, still ascending). The result does
-// not satisfy ValidateIvfIndexData's full-coverage contract — it is an
-// internal shard view over already-validated data, consumed only by the
-// sharded engine's per-shard IvfIndex.
-IvfIndexData ShardIvfIndexData(const IvfIndexData& data, size_t row_begin,
-                               size_t row_end);
-
 // Structural validation of `data` against the table it claims to index:
 // centroid/table dim match, every row id < table_rows, each row in
 // exactly one list, sane nprobe. Everything Load* or ReadSnapshot
@@ -158,9 +140,8 @@ class IvfIndex final : public SimilarityIndex {
            obs::Registry* registry = nullptr);
 
   const char* name() const override { return "ivf"; }
-  // Rows reachable through the posting lists — the whole table for
-  // fully-validated data, the shard's slice for ShardIvfIndexData views.
-  size_t size() const override;
+  // Validated posting lists cover every row once: the table's row count.
+  size_t size() const override { return table_->rows(); }
   std::vector<std::vector<ScoredIndex>> TopKAll(const Matrix& queries,
                                                 size_t k) const override;
 
@@ -175,54 +156,10 @@ class IvfIndex final : public SimilarityIndex {
   std::vector<float> inv_norms_;
   std::vector<float> centroid_inv_norms_;
   size_t nprobe_;
-  size_t indexed_rows_;
   obs::Registry* registry_;
   obs::Counter& queries_;     // index.ivf.queries
   obs::Counter& probes_;      // index.recall_probe
   obs::Counter& candidates_;  // index.ivf.candidates
-};
-
-// Scatter-gather composition over K child indexes built on disjoint row
-// ranges of one table. TopKAll fans a batch out to every shard (on the
-// calling thread's pool via util::ParallelFor — nested use inlines) and
-// k-way merges per query with the canonical ScoredLess order. With
-// exact shards the merge is bit-identical to the single-shard exact
-// scan: ScoredLess is a strict total order, so every global top-k row
-// survives its own shard's top-k and the re-sort reproduces the
-// full-scan prefix exactly. With IVF shards each shard probes its own
-// nprobe lists, so recall is >= the single IVF index but candidate sets
-// may differ — the exactness contract is per-shard, not global.
-//
-// name() reports the children's common strategy name ("exact"/"ivf") so
-// align responses stay byte-identical across shard counts; shard
-// structure is surfaced through num_shards()/engine_status instead.
-//
-// When `metric_prefix` is non-empty, per-shard scan wall times are
-// recorded into "span.<metric_prefix>.<i>" histograms and the merge into
-// "span.<metric_prefix>.merge" (the serving engine passes
-// "serve.shard").
-class ShardedIndex final : public SimilarityIndex {
- public:
-  // `shards` must be non-empty, built over disjoint ranges of one table,
-  // and share a strategy name.
-  ShardedIndex(std::vector<std::unique_ptr<SimilarityIndex>> shards,
-               const std::string& metric_prefix = "",
-               obs::Registry* registry = nullptr);
-
-  const char* name() const override;
-  size_t size() const override;  // sum of child sizes
-  std::vector<std::vector<ScoredIndex>> TopKAll(const Matrix& queries,
-                                                size_t k) const override;
-
-  size_t num_shards() const { return shards_.size(); }
-  const SimilarityIndex& shard(size_t i) const { return *shards_[i]; }
-
- private:
-  std::vector<std::unique_ptr<SimilarityIndex>> shards_;
-  // span.<metric_prefix>.<i> per shard and span.<metric_prefix>.merge;
-  // empty / nullptr when metric_prefix is empty.
-  std::vector<obs::Histogram*> shard_ms_;
-  obs::Histogram* merge_ms_ = nullptr;
 };
 
 }  // namespace exea::la

@@ -18,12 +18,32 @@ uint64_t PairKey(kg::EntityId e1, kg::EntityId e2) {
   return static_cast<uint64_t>(e1) << 32 | e2;
 }
 
-StateOptions StateOptionsFrom(const EngineOptions& options) {
-  StateOptions state_options;
-  state_options.shards = options.shards;
-  state_options.index_policy = options.index_policy;
-  state_options.ivf_min_rows = options.ivf_min_rows;
-  return state_options;
+// Target tables below this many rows scan faster than they probe, so
+// "auto" serves them exact even when the bundle ships an IVF index.
+constexpr size_t kIvfMinRows = 4096;
+
+Status ValidateIndexPolicy(const std::string& policy) {
+  if (policy == "auto" || policy == "exact" || policy == "ivf") {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument("unknown index policy '" + policy +
+                                 "' (expected auto|exact|ivf)");
+}
+
+// Resolves a validated index_policy against `bundle`: true when align
+// should probe the bundle's IVF index rather than scan exactly. An "ivf"
+// request on a bundle frozen without an index degrades to exact with a
+// warning instead of refusing to serve.
+bool UseIvf(const std::string& policy, const SnapshotBundle& bundle) {
+  if (policy == "exact") return false;
+  if (bundle.ivf.empty()) {
+    if (policy == "ivf") {
+      EXEA_LOG(Warning) << "index_policy=ivf but the bundle was frozen "
+                           "without a trained index; serving exact";
+    }
+    return false;
+  }
+  return policy == "ivf" || bundle.emb2.rows() >= kIvfMinRows;
 }
 
 }  // namespace
@@ -33,7 +53,7 @@ QueryEngine::QueryEngine(std::unique_ptr<SnapshotBundle> bundle,
     : options_(options),
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::Registry::Global()),
-      manager_(options.max_resident_versions, registry_),
+      manager_(registry_),
       cache_(options.explain_cache_capacity,
              &registry_->GetGauge("serve.explain_cache.size")),
       cache_hits_(registry_->GetCounter("serve.explain_cache.hits")),
@@ -45,14 +65,16 @@ QueryEngine::QueryEngine(std::unique_ptr<SnapshotBundle> bundle,
 
 std::unique_ptr<const ServingState> QueryEngine::BuildState(
     std::unique_ptr<SnapshotBundle> bundle, std::string source) {
+  bool use_ivf = UseIvf(options_.index_policy, *bundle);
   return std::make_unique<ServingState>(std::move(bundle),
                                         manager_.NextEpoch(),
-                                        std::move(source),
-                                        StateOptionsFrom(options_), registry_);
+                                        std::move(source), use_ivf, registry_);
 }
 
 StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
     const std::string& dir, const EngineOptions& options) {
+  Status policy = ValidateIndexPolicy(options.index_policy);
+  if (!policy.ok()) return policy;
   auto bundle = ReadSnapshot(dir);
   if (!bundle.ok()) return bundle.status();
   EXEA_CHECK(*bundle != nullptr) << "engine constructed without a bundle";
@@ -65,6 +87,7 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
 std::unique_ptr<QueryEngine> QueryEngine::FromBundle(
     std::unique_ptr<SnapshotBundle> bundle, const EngineOptions& options) {
   EXEA_CHECK(bundle != nullptr) << "engine constructed without a bundle";
+  EXEA_CHECK_OK(ValidateIndexPolicy(options.index_policy));
   return std::unique_ptr<QueryEngine>(
       // private ctor — make_unique cannot call it, and the pointer goes
       // straight into the unique_ptr. exea-lint: allow(raw-new-delete)
@@ -116,10 +139,8 @@ EngineStatusResult QueryEngine::EngineStatus() const {
   EngineStatusResult result;
   result.epoch = state->epoch();
   result.source = state->source();
-  result.shards = state->shards();
   result.index = state->index().name();
   result.index_size = state->index().size();
-  result.resident_versions = manager_.resident();
   result.live_versions = registry_->GaugeValue("serve.snapshot.versions");
   result.swaps = registry_->CounterValue("serve.snapshot.swaps");
   result.explain_cache_size = cache_.size();

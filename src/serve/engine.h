@@ -1,13 +1,12 @@
 // QueryEngine: the online half of the serving subsystem. Holds the
-// resident snapshot versions behind a SnapshotManager and answers
+// current snapshot version behind a SnapshotManager and answers
 // per-entity / per-pair queries against the frozen pipeline state:
 //
 //   align(e)          — served alignment of a source entity plus the top-k
 //                       embedding-similarity candidates (batched lookups
-//                       run through the snapshot's SimilarityIndex, which
-//                       fans out on the process-wide util::ThreadPool;
-//                       with --shards > 1 the index is a scatter-gather
-//                       ShardedIndex over row partitions of emb2),
+//                       run through the version's one SimilarityIndex,
+//                       exact or IVF, which fans out on the process-wide
+//                       util::ThreadPool),
 //   explain(e1, e2)   — the ExEA matching subgraph + ADG for a pair,
 //                       rendered to JSON; by far the expensive path, so
 //                       results go through an LRU cache,
@@ -16,7 +15,7 @@
 //   load_snapshot(dir)    — hot swap: install a new bundle as the current
 //                       version with zero downtime; in-flight requests
 //                       finish on the version they pinned at entry,
-//   engine_status()   — version/shard/index introspection.
+//   engine_status()   — version/index introspection.
 //
 // Explanations are generated with the same AlignmentContext the offline
 // CLI uses (raw inference output + seed alignment), so a served `explain`
@@ -62,25 +61,18 @@ struct EngineOptions {
 
   // Which la::SimilarityIndex strategy answers align candidate search:
   //   "auto"  — the bundle's trained IVF index when it has one AND the
-  //             target table has at least ivf_min_rows rows (small
+  //             target table has at least kIvfMinRows (4096) rows (small
   //             tables scan faster than they probe), else exact
   //   "exact" — always the dense scan
   //   "ivf"   — force the bundle's IVF index; falls back to exact with
   //             a warning when the bundle was frozen without one
-  // The live choice is reported per response (AlignResult::index) and
-  // in the stats op.
+  // Open rejects any other value with INVALID_ARGUMENT. The live choice
+  // is reported per response (AlignResult::index) and in the stats op.
   std::string index_policy = "auto";
-  size_t ivf_min_rows = 4096;
 
-  // Row-wise partitions of emb2 behind one deterministic scatter-gather
-  // merge (see la::ShardedIndex). 1 = the single-index layout; exact
-  // sharded results are bit-identical to it at any shard count.
-  size_t shards = 1;
-
-  // Snapshot versions the manager keeps strongly resident (current
-  // included; clamped to >= 1). Retired versions beyond this live only
-  // as long as in-flight requests still pin them.
-  size_t max_resident_versions = 2;
+  // Fixed, not settable: every snapshot version serves through one
+  // index. Kept only because e2ebench prints it in its context line.
+  static constexpr size_t shards = 1;
 
   // Where the engine registers its metrics (cache hit/miss counters, the
   // cache-size gauge, snapshot version/swap telemetry, query spans).
@@ -142,28 +134,28 @@ struct RepairStatusResult {
   std::vector<std::string> repaired_targets;
 };
 
-// Snapshot of the engine's versioning and search topology, for the
+// Snapshot of the engine's versioning and search strategy, for the
 // engine_status op and the stats dump.
 struct EngineStatusResult {
-  uint64_t epoch = 0;           // current version number
-  std::string source;           // where the current bundle came from
-  size_t shards = 0;            // index partitions in the current version
-  std::string index;            // "exact" | "ivf"
-  size_t index_size = 0;        // rows reachable through the index
-  size_t resident_versions = 0; // strongly held by the manager
-  double live_versions = 0.0;   // alive incl. reader-pinned (gauge)
-  uint64_t swaps = 0;           // successful load_snapshot replacements
+  uint64_t epoch = 0;          // current version number
+  std::string source;          // where the current bundle came from
+  std::string index;           // "exact" | "ivf"
+  size_t index_size = 0;       // rows reachable through the index
+  double live_versions = 0.0;  // current + reader-pinned (gauge)
+  uint64_t swaps = 0;          // successful load_snapshot replacements
   size_t explain_cache_size = 0;
 };
 
 class QueryEngine {
  public:
   // Loads the bundle at `dir` (version + checksum verified) and builds the
-  // explainer state once.
+  // explainer state once. An index_policy other than auto|exact|ivf is
+  // INVALID_ARGUMENT, before the bundle is read.
   [[nodiscard]] static StatusOr<std::unique_ptr<QueryEngine>> Open(
       const std::string& dir, const EngineOptions& options);
 
-  // In-process construction from an already-loaded bundle (tests, benches).
+  // In-process construction from an already-loaded bundle (tests,
+  // benches). options.index_policy must be auto|exact|ivf.
   static std::unique_ptr<QueryEngine> FromBundle(
       std::unique_ptr<SnapshotBundle> bundle, const EngineOptions& options);
 

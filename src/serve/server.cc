@@ -428,7 +428,6 @@ StatusOr<std::string> HandleLoadSnapshot(QueryEngine& engine,
   EngineStatusResult status = engine.EngineStatus();
   std::ostringstream out;
   out << "{\"ok\":true,\"op\":\"load_snapshot\",\"epoch\":" << *epoch
-      << ",\"versions\":" << status.resident_versions
       << ",\"swaps\":" << status.swaps << "}";
   return out.str();
 }
@@ -438,9 +437,8 @@ std::string EngineStatusJson(const QueryEngine& engine) {
   std::ostringstream out;
   out << "{\"ok\":true,\"op\":\"engine_status\",\"epoch\":" << status.epoch
       << ",\"source\":\"" << JsonEscape(status.source)
-      << "\",\"shards\":" << status.shards << ",\"index\":\""
-      << JsonEscape(status.index) << "\",\"index_size\":" << status.index_size
-      << ",\"resident_versions\":" << status.resident_versions
+      << "\",\"index\":\"" << JsonEscape(status.index)
+      << "\",\"index_size\":" << status.index_size
       << ",\"live_versions\":" << static_cast<uint64_t>(status.live_versions)
       << ",\"swaps\":" << status.swaps << ",\"explain_cache_size\":"
       << status.explain_cache_size << "}";
@@ -587,8 +585,6 @@ std::string Server::StatsJson() const {
   out << "{\"index\":\"" << engine_status.index << "\",\"index_size\":"
       << engine_status.index_size
       << ",\"epoch\":" << engine_status.epoch
-      << ",\"shards\":" << engine_status.shards
-      << ",\"snapshot_versions\":" << engine_status.resident_versions
       << ",\"snapshot_swaps\":" << engine_status.swaps
       << ",\"requests\":" << requests_.Value()
       << ",\"ok\":" << ok_.Value()

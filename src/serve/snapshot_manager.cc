@@ -1,102 +1,29 @@
 #include "serve/snapshot_manager.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace exea::serve {
-namespace {
-
-// Mirrors the old QueryEngine::BuildIndex policy resolution (degrade to
-// exact with a warning rather than refuse to start), decided once on the
-// full table before any sharding happens.
-bool WantIvf(const SnapshotBundle& bundle, const StateOptions& options) {
-  const std::string& policy = options.index_policy;
-  if (policy == "ivf") {
-    if (!bundle.ivf.empty()) return true;
-    EXEA_LOG(Warning) << "index_policy=ivf but the bundle was frozen "
-                         "without a trained index; serving exact";
-    return false;
-  }
-  if (policy == "auto") {
-    return !bundle.ivf.empty() && bundle.emb2.rows() >= options.ivf_min_rows;
-  }
-  if (policy != "exact") {
-    EXEA_LOG(Warning) << "unknown index_policy '" << policy
-                      << "' (expected auto|exact|ivf); serving exact";
-  }
-  return false;
-}
-
-}  // namespace
 
 ServingState::ServingState(std::unique_ptr<SnapshotBundle> bundle,
-                           uint64_t epoch, std::string source,
-                           const StateOptions& options,
+                           uint64_t epoch, std::string source, bool use_ivf,
                            obs::Registry* registry)
     : bundle_(std::move(bundle)),
       epoch_(epoch),
       source_(std::move(source)),
-      shards_(1),
       model_(bundle_.get()),
       explainer_(bundle_->dataset, model_, explain::ExeaConfig{}),
       context_(&bundle_->alignment, &bundle_->dataset.train) {
   EXEA_CHECK(bundle_ != nullptr);
-  const la::Matrix& table = bundle_->emb2;
-  bool want_ivf = WantIvf(*bundle_, options);
-
-  size_t rows = table.rows();
-  shards_ = std::max<size_t>(1, options.shards);
-  if (rows > 0) shards_ = std::min(shards_, rows);
-
-  if (shards_ == 1) {
-    // Single-shard: exactly the pre-sharding construction, so metrics
-    // and behavior at --shards 1 are unchanged.
-    if (want_ivf) {
-      index_ = std::make_unique<la::IvfIndex>(&table, &bundle_->ivf, registry);
-    } else {
-      index_ = std::make_unique<la::ExactIndex>(&table, registry);
-    }
-    return;
-  }
-
-  // Deterministic row partition, same fixed-block convention as
-  // util::ParallelFor: grain = ceil(rows / shards), final shard takes
-  // the remainder. Every row lands in exactly one shard.
-  size_t grain = (rows + shards_ - 1) / shards_;
-  std::vector<std::pair<size_t, size_t>> ranges;
-  for (size_t lo = 0; lo < rows; lo += grain) {
-    ranges.emplace_back(lo, std::min(rows, lo + grain));
-  }
-  shards_ = ranges.size();
-
-  std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-  children.reserve(shards_);
-  if (want_ivf) {
-    // Fill every shard view BEFORE handing out pointers: IvfIndex
-    // borrows &shard_ivf_[s] and the vector must never reallocate.
-    shard_ivf_.reserve(shards_);
-    for (const auto& [lo, hi] : ranges) {
-      shard_ivf_.push_back(ShardIvfIndexData(bundle_->ivf, lo, hi));
-    }
-    for (size_t s = 0; s < shards_; ++s) {
-      children.push_back(
-          std::make_unique<la::IvfIndex>(&table, &shard_ivf_[s], registry));
-    }
+  if (use_ivf) {
+    index_ = std::make_unique<la::IvfIndex>(&bundle_->emb2, &bundle_->ivf,
+                                            registry);
   } else {
-    for (const auto& [lo, hi] : ranges) {
-      children.push_back(
-          std::make_unique<la::ExactIndex>(&table, lo, hi, registry));
-    }
+    index_ = std::make_unique<la::ExactIndex>(&bundle_->emb2, registry);
   }
-  index_ = std::make_unique<la::ShardedIndex>(std::move(children),
-                                              "serve.shard", registry);
 }
 
-SnapshotManager::SnapshotManager(size_t max_resident, obs::Registry* registry)
-    : max_resident_(std::max<size_t>(1, max_resident)),
-      versions_gauge_((registry != nullptr ? *registry
+SnapshotManager::SnapshotManager(obs::Registry* registry)
+    : versions_gauge_((registry != nullptr ? *registry
                                            : obs::Registry::Global())
                           .GetGauge("serve.snapshot.versions")),
       swaps_((registry != nullptr ? *registry : obs::Registry::Global())
@@ -104,32 +31,32 @@ SnapshotManager::SnapshotManager(size_t max_resident, obs::Registry* registry)
 
 uint64_t SnapshotManager::Install(std::unique_ptr<const ServingState> state) {
   EXEA_CHECK(state != nullptr);
+  uint64_t epoch = state->epoch();
   obs::Gauge* versions = &versions_gauge_;
   // The custom deleter is the "retired version actually freed" event:
-  // it runs when the LAST handle (manager residency or in-flight
-  // reader) drops, wherever that thread is.
+  // it runs when the LAST handle (the manager's or an in-flight
+  // reader's) drops, wherever that thread is.
   std::shared_ptr<const ServingState> handle(
       state.release(), [versions](const ServingState* s) {
         delete s;  // exea-lint: allow(raw-new-delete)
         versions->Add(-1.0);
       });
   versions->Add(1.0);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (current_ != nullptr) swaps_.Increment();
-  current_ = handle;
-  resident_.push_back(std::move(handle));
-  while (resident_.size() > max_resident_) resident_.pop_front();
-  return current_->epoch();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (current_ != nullptr) swaps_.Increment();
+    current_.swap(handle);
+  }
+  // `handle` now holds the retired version, if any. Dropping it here,
+  // outside mu_, keeps an unpinned version's free (milliseconds for a
+  // large bundle with warm path memos) off every reader's Acquire().
+  handle.reset();
+  return epoch;
 }
 
 std::shared_ptr<const ServingState> SnapshotManager::Acquire() const {
   std::lock_guard<std::mutex> lock(mu_);
   return current_;
-}
-
-size_t SnapshotManager::resident() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resident_.size();
 }
 
 }  // namespace exea::serve

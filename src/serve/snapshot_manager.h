@@ -1,32 +1,29 @@
-// Multi-version snapshot residency: the RCU-style core of zero-downtime
-// serving.
+// Snapshot residency: the RCU-style core of zero-downtime serving.
 //
 // A ServingState is one immutable snapshot version plus everything the
-// query paths derive from it — the similarity index (single- or
-// sharded), the SnapshotModel/ExeaExplainer pair, and the offline
-// AlignmentContext. It is built once, never mutated, and every borrow
-// inside it (index → emb2, model → bundle, context → alignment) points
-// into the bundle the state itself owns, so the whole object graph has
-// exactly one lifetime.
+// query paths derive from it — the similarity index (exact or IVF), the
+// SnapshotModel/ExeaExplainer pair, and the offline AlignmentContext.
+// It is built once, never mutated, and every borrow inside it (index →
+// emb2, model → bundle, context → alignment) points into the bundle the
+// state itself owns, so the whole object graph has exactly one lifetime.
 //
-// The SnapshotManager holds the resident versions behind refcounted
-// handles:
+// The SnapshotManager holds only the current version, behind a
+// refcounted handle:
 //
 //   Acquire()  — readers pin the version current at request entry; the
 //                shared_ptr copy is the read-side critical section, so a
 //                request keeps answering from the version it started on
 //                no matter how many swaps land mid-flight.
-//   Install()  — atomically (one mutex-guarded pointer store) makes a
-//                new version current. The manager keeps the newest
-//                `max_resident` versions strongly referenced; anything
-//                older survives only as long as in-flight readers still
-//                hold it and frees on the last handle drop — the
-//                use-after-free the old raw `&bundle_->emb2` borrows
-//                would have turned into is structurally impossible.
+//   Install()  — atomically (one mutex-guarded pointer swap) makes a
+//                new version current. The retired handle is dropped
+//                after the mutex is released, so freeing an unpinned
+//                version never stalls a reader's Acquire(); a version
+//                some reader still pins lives exactly until that
+//                reader's last handle drops.
 //
 // Metrics (in the engine's registry):
 //   serve.snapshot.versions  gauge   — ServingState objects currently
-//                                      alive (resident + reader-pinned);
+//                                      alive (current + reader-pinned);
 //                                      decremented by the handle's
 //                                      deleter at the actual free.
 //   serve.snapshot.swaps     counter — installs that replaced a live
@@ -37,11 +34,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "explain/exea.h"
 #include "la/similarity_index.h"
@@ -51,29 +46,16 @@
 
 namespace exea::serve {
 
-// The slice of EngineOptions a ServingState needs to build its index.
-// Separate struct (not EngineOptions itself) so snapshot_manager stays
-// below engine in the include graph.
-struct StateOptions {
-  // Row-wise partitions of emb2 behind one scatter-gather merge; 1 keeps
-  // the single index exactly as before. Clamped to [1, emb2 rows].
-  size_t shards = 1;
-  // Same meaning as EngineOptions::index_policy / ivf_min_rows; the
-  // policy decision is made on the FULL table size, then applied
-  // per shard, so a shard count change can never flip exact <-> ivf.
-  std::string index_policy = "auto";
-  size_t ivf_min_rows = 4096;
-};
-
 class ServingState {
  public:
   // Takes ownership of `bundle` (never null). `epoch` is the manager's
   // monotonic version number; `source` is where the bundle came from
   // (directory path, or "<memory>" for in-process construction).
-  // `registry` may be nullptr (Registry::Global()).
+  // `use_ivf` serves align through the bundle's trained IVF index (which
+  // must then be present) instead of the exact scan. `registry` may be
+  // nullptr (Registry::Global()).
   ServingState(std::unique_ptr<SnapshotBundle> bundle, uint64_t epoch,
-               std::string source, const StateOptions& options,
-               obs::Registry* registry);
+               std::string source, bool use_ivf, obs::Registry* registry);
 
   ServingState(const ServingState&) = delete;
   ServingState& operator=(const ServingState&) = delete;
@@ -82,22 +64,16 @@ class ServingState {
   const la::SimilarityIndex& index() const { return *index_; }
   uint64_t epoch() const { return epoch_; }
   const std::string& source() const { return source_; }
-  size_t shards() const { return shards_; }
 
   const explain::ExeaExplainer& explainer() const { return explainer_; }
   const explain::AlignmentContext& context() const { return context_; }
 
  private:
   // Declaration order is lifetime order: everything below borrows from
-  // bundle_, and index_ additionally borrows shard_ivf_ entries.
+  // bundle_.
   std::unique_ptr<SnapshotBundle> bundle_;
   uint64_t epoch_;
   std::string source_;
-  size_t shards_;
-  // Per-shard posting-list views over bundle_->ivf (empty on the exact
-  // path). Sized once in the constructor; IvfIndex keeps pointers into
-  // it, so it must never reallocate afterwards.
-  std::vector<la::IvfIndexData> shard_ivf_;
   std::unique_ptr<la::SimilarityIndex> index_;
   SnapshotModel model_;
   explain::ExeaExplainer explainer_;
@@ -106,12 +82,10 @@ class ServingState {
 
 class SnapshotManager {
  public:
-  // Keeps the newest `max_resident` versions strongly referenced
-  // (clamped to >= 1: the current version is always resident).
   // `registry` may be nullptr (Registry::Global()); it must outlive
   // every handle this manager ever hands out, because the handle
   // deleter updates the versions gauge.
-  SnapshotManager(size_t max_resident, obs::Registry* registry);
+  explicit SnapshotManager(obs::Registry* registry);
 
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
@@ -120,7 +94,8 @@ class SnapshotManager {
   // ServingState with it, then Install.
   uint64_t NextEpoch() { return epoch_.fetch_add(1, std::memory_order_relaxed) + 1; }
 
-  // Makes `state` the version new readers get. Returns its epoch.
+  // Makes `state` the version new readers get and releases the
+  // manager's hold on the previous one. Returns the new epoch.
   uint64_t Install(std::unique_ptr<const ServingState> state);
 
   // Pins and returns the current version; never null after the first
@@ -128,13 +103,7 @@ class SnapshotManager {
   // it is dropped.
   std::shared_ptr<const ServingState> Acquire() const;
 
-  // Versions the manager itself still holds strongly (<= max_resident).
-  // The serve.snapshot.versions gauge additionally counts retired
-  // versions kept alive by in-flight readers.
-  size_t resident() const;
-
  private:
-  const size_t max_resident_;
   obs::Gauge& versions_gauge_;
   obs::Counter& swaps_;
   std::atomic<uint64_t> epoch_{0};
@@ -142,7 +111,6 @@ class SnapshotManager {
   // mu_ protects everything declared after it.
   mutable std::mutex mu_;
   std::shared_ptr<const ServingState> current_ EXEA_GUARDED_BY(mu_);
-  std::deque<std::shared_ptr<const ServingState>> resident_ EXEA_GUARDED_BY(mu_);
 };
 
 }  // namespace exea::serve

@@ -178,6 +178,21 @@ TEST_F(CliTest, ServeRejectsMissingBundle) {
   EXPECT_NE(out_.find("MANIFEST"), std::string::npos) << out_;
 }
 
+// An unknown --index value is refused by name, not served as exact.
+TEST_F(CliTest, ServeRejectsUnknownIndexPolicy) {
+  std::string bundle = (*dir_ / "policy_bundle").string();
+  ASSERT_EQ(Run("snapshot --dir " + dir_->string() +
+                " --model MTransE --epochs 30 --out " + bundle),
+            0);
+  EXPECT_NE(Run("serve --bundle " + bundle + " --index bogus < /dev/null"),
+            0);
+  EXPECT_NE(out_.find("'bogus'"), std::string::npos) << out_;
+  EXPECT_NE(Run("bench-load --bundle " + bundle +
+                " --index bogus --clients 1 --requests 1"),
+            0);
+  EXPECT_NE(out_.find("'bogus'"), std::string::npos) << out_;
+}
+
 // The load generator self-hosts an async server from a bundle and exits
 // non-zero on any malformed or unanswered response — so a zero exit with
 // 8 concurrent clients IS the acceptance check for the async core.

@@ -242,46 +242,32 @@ TEST(DeterminismTest, ShapleyAttributionsAreThreadCountInvariant) {
   }
 }
 
-// The sharded scatter-gather merge is doubly invariant: at any thread
-// count AND any shard count, the per-query top-k is bit-identical to the
-// serial single-index scan. Shard boundaries deliberately misalign with
-// the ParallelFor row grain.
-TEST(DeterminismTest, ShardedTopKIsShardAndThreadCountInvariant) {
+// One ExactIndex over the whole table is thread-count invariant: at
+// every pool size the per-query top-k is bit-identical to the serial
+// scan. The 93 queries misalign with the 16-row ParallelFor grain and
+// the 517 table rows with the 256-row scoring block.
+TEST(DeterminismTest, ExactIndexTopKIsThreadCountInvariant) {
   la::Matrix queries = SeededMatrix(31, 93, 24);
   la::Matrix table = SeededMatrix(32, 517, 24);
   obs::Registry registry;
 
   util::SetThreadCount(1);
-  la::ExactIndex single(&table, &registry);
-  auto baseline = single.TopKAll(queries, 10);
+  la::ExactIndex serial(&table, &registry);
+  auto baseline = serial.TopKAll(queries, 10);
   util::SetThreadCount(0);
 
-  for (size_t shards : {size_t{2}, size_t{5}, size_t{13}}) {
-    auto build = [&] {
-      std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-      size_t grain = (table.rows() + shards - 1) / shards;
-      for (size_t s = 0; s < shards; ++s) {
-        size_t begin = std::min(table.rows(), s * grain);
-        size_t end = std::min(table.rows(), begin + grain);
-        children.push_back(std::make_unique<la::ExactIndex>(
-            &table, begin, end, &registry));
-      }
-      return la::ShardedIndex(std::move(children), "", &registry);
-    };
-    auto results = RunAtEachThreadCount(
-        [&] { return build().TopKAll(queries, 10); });
-    for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(baseline.size(), results[i].size());
-      for (size_t q = 0; q < baseline.size(); ++q) {
-        ASSERT_EQ(baseline[q].size(), results[i][q].size());
-        for (size_t r = 0; r < baseline[q].size(); ++r) {
-          EXPECT_EQ(baseline[q][r].index, results[i][q][r].index)
-              << "shards=" << shards << " threads=" << kThreadCounts[i]
-              << " query " << q;
-          EXPECT_EQ(baseline[q][r].score, results[i][q][r].score)
-              << "shards=" << shards << " threads=" << kThreadCounts[i]
-              << " query " << q;
-        }
+  auto results = RunAtEachThreadCount([&] {
+    return la::ExactIndex(&table, &registry).TopKAll(queries, 10);
+  });
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_EQ(baseline.size(), results[i].size());
+    for (size_t q = 0; q < baseline.size(); ++q) {
+      ASSERT_EQ(baseline[q].size(), results[i][q].size());
+      for (size_t r = 0; r < baseline[q].size(); ++r) {
+        EXPECT_EQ(baseline[q][r].index, results[i][q][r].index)
+            << "threads=" << kThreadCounts[i] << " query " << q;
+        EXPECT_EQ(baseline[q][r].score, results[i][q][r].score)
+            << "threads=" << kThreadCounts[i] << " query " << q;
       }
     }
   }

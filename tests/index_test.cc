@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -332,116 +331,6 @@ TEST(IndexEdgeTest, KLargerThanTableReturnsAllRows) {
     EXPECT_EQ(ivf_got[q].size(), tiny.rows());
   }
   EXPECT_TRUE(ResultsBitEqual(exact_got, ivf_got));
-}
-
-// ------------------------------------------------------- sharded index
-
-// Row-wise shard layout mirroring serve's: contiguous ranges of
-// ceil(rows/shards) rows each, children over [begin, end).
-std::unique_ptr<la::SimilarityIndex> MakeShardedExact(
-    const la::Matrix& table, size_t shards, obs::Registry* registry) {
-  std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-  size_t grain = (table.rows() + shards - 1) / shards;
-  for (size_t s = 0; s < shards; ++s) {
-    size_t begin = std::min(table.rows(), s * grain);
-    size_t end = std::min(table.rows(), begin + grain);
-    children.push_back(
-        std::make_unique<la::ExactIndex>(&table, begin, end, registry));
-  }
-  return std::make_unique<la::ShardedIndex>(std::move(children),
-                                            "test.shard", registry);
-}
-
-class ShardedIndexTest : public IndexTest {};
-
-// The core scatter-gather guarantee: per-shard top-k over disjoint row
-// ranges, merged under the (score desc, index asc) strict total order,
-// is BIT-identical to the single-index exhaustive scan — every score,
-// every id, every tie broken the same way, at any shard count.
-TEST_F(ShardedIndexTest, ExactShardsAreBitIdenticalToSingleIndex) {
-  la::ExactIndex single(&table_, &registry_);
-  for (size_t k : {size_t{1}, size_t{10}, size_t{50}}) {
-    auto want = single.TopKAll(queries_, k);
-    for (size_t shards : {size_t{2}, size_t{3}, size_t{7}, size_t{16}}) {
-      auto index = MakeShardedExact(table_, shards, &registry_);
-      EXPECT_STREQ(index->name(), "exact");
-      EXPECT_EQ(index->size(), table_.rows());
-      EXPECT_TRUE(ResultsBitEqual(want, index->TopKAll(queries_, k)))
-          << "k=" << k << " shards=" << shards;
-    }
-  }
-}
-
-TEST_F(ShardedIndexTest, RecordsPerShardAndMergeSpans) {
-  auto index = MakeShardedExact(table_, 3, &registry_);
-  (void)index->TopKAll(queries_, 5);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.0").Count(), 1u);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.1").Count(), 1u);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.2").Count(), 1u);
-  EXPECT_EQ(registry_.GetHistogram("span.test.shard.merge").Count(), 1u);
-}
-
-// ShardIvfIndexData slices the posting lists row-wise without touching
-// the centroids: every indexed row lands in exactly one shard, and a
-// full-probe sharded IVF stays bit-identical to the exhaustive scan
-// (each shard's probe covers all of its rows, and the merge order is
-// the same strict total order the exact path uses).
-TEST_F(ShardedIndexTest, ShardIvfIndexDataPartitionsRowsExactly) {
-  const size_t shards = 4;
-  size_t grain = (table_.rows() + shards - 1) / shards;
-  std::vector<la::IvfIndexData> parts;
-  std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-  parts.reserve(shards);
-  size_t total = 0;
-  std::vector<int> seen(table_.rows(), 0);
-  for (size_t s = 0; s < shards; ++s) {
-    size_t begin = std::min(table_.rows(), s * grain);
-    size_t end = std::min(table_.rows(), begin + grain);
-    parts.push_back(la::ShardIvfIndexData(ivf_, begin, end));
-    const la::IvfIndexData& part = parts.back();
-    EXPECT_EQ(part.centroids.data(), ivf_.centroids.data());
-    for (const auto& list : part.lists) {
-      for (uint32_t id : list) {
-        ASSERT_GE(id, begin);
-        ASSERT_LT(id, end);
-        ++seen[id];
-        ++total;
-      }
-    }
-  }
-  EXPECT_EQ(total, table_.rows());
-  for (size_t r = 0; r < table_.rows(); ++r) {
-    EXPECT_EQ(seen[r], 1) << "row " << r << " must be in exactly one shard";
-  }
-
-  for (size_t s = 0; s < shards; ++s) {
-    size_t begin = std::min(table_.rows(), s * grain);
-    size_t end = std::min(table_.rows(), begin + grain);
-    auto child = std::make_unique<la::IvfIndex>(&table_, &parts[s],
-                                                &registry_);
-    child->set_nprobe(child->num_clusters());
-    EXPECT_EQ(child->size(), end - begin);
-    children.push_back(std::move(child));
-  }
-  la::ShardedIndex sharded(std::move(children), "", &registry_);
-  EXPECT_STREQ(sharded.name(), "ivf");
-  EXPECT_EQ(sharded.size(), table_.rows());
-  la::ExactIndex exact(&table_, &registry_);
-  EXPECT_TRUE(ResultsBitEqual(exact.TopKAll(queries_, 10),
-                              sharded.TopKAll(queries_, 10)));
-}
-
-TEST(IndexEdgeTest, SingleShardShardedIndexDegenerates) {
-  la::Matrix tiny = ClusteredTable(9, 7, 4, 2);
-  obs::Registry registry;
-  la::ExactIndex single(&tiny, &registry);
-  std::vector<std::unique_ptr<la::SimilarityIndex>> children;
-  children.push_back(
-      std::make_unique<la::ExactIndex>(&tiny, 0, tiny.rows(), &registry));
-  la::ShardedIndex sharded(std::move(children), "", &registry);
-  la::Matrix queries = PerturbedQueries(5, tiny, 3);
-  EXPECT_TRUE(ResultsBitEqual(single.TopKAll(queries, 3),
-                              sharded.TopKAll(queries, 3)));
 }
 
 }  // namespace

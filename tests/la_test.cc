@@ -320,21 +320,20 @@ TEST(SimilarityTest, TopKAllMatchesSingle) {
   }
 }
 
-// The full-sort reference the streaming top-k must reproduce: every row
-// in [row_begin, row_end) scored with the per-row dot kernel in the same
+// The full-sort reference the streaming top-k must reproduce: every
+// table row scored with the per-row dot kernel in the same
 // (dot * qinv) * inv order, sorted with ScoredLess, cut to k.
 std::vector<ScoredIndex> FullSortTopK(const float* query, const Matrix& table,
-                                      size_t row_begin, size_t row_end,
                                       size_t k) {
   const SimdOps& ops = ActiveSimdOps();
-  std::vector<float> inv = RowInverseNormsRange(table, row_begin, row_end);
+  std::vector<float> inv = RowInverseNorms(table);
   float qnorm = std::sqrt(ops.dot(query, query, table.cols()));
   float qinv = qnorm > 1e-12f ? 1.0f / qnorm : 0.0f;
   std::vector<ScoredIndex> all;
-  for (size_t j = row_begin; j < row_end; ++j) {
+  for (size_t j = 0; j < table.rows(); ++j) {
     all.push_back({static_cast<uint32_t>(j),
                    (ops.dot(query, table.Row(j), table.cols()) * qinv) *
-                       inv[j - row_begin]});
+                       inv[j]});
   }
   std::sort(all.begin(), all.end(), ScoredLess);
   all.resize(std::min(k, all.size()));
@@ -380,17 +379,8 @@ TEST(SimilarityTest, TopKMatchesFullSortReference) {
       for (size_t k : ks) {
         std::string label = name + " rows=" + std::to_string(rows) +
                             " k=" + std::to_string(k);
-        ExpectSameTopK(FullSortTopK(query.data(), table, 0, rows, k),
+        ExpectSameTopK(FullSortTopK(query.data(), table, k),
                        TopKByCosine(query.data(), table, k), label);
-        // A range that starts inside the first block and so never lines
-        // up with the 256-row scoring blocks.
-        if (rows > 3) {
-          std::vector<float> inv = RowInverseNormsRange(table, 3, rows);
-          ExpectSameTopK(
-              FullSortTopK(query.data(), table, 3, rows, k),
-              TopKRangeWithNorms(query.data(), table, inv, 3, rows, k),
-              label + " range [3, rows)");
-        }
       }
     }
   }

@@ -317,8 +317,8 @@ TEST_F(ServeTest, AlignServesRepairedTargets) {
 // ------------------------------------------------------- similarity index
 
 TEST_F(ServeTest, AlignReportsSearchStrategy) {
-  // The tiny fixture is far below ivf_min_rows, so "auto" serves exact —
-  // and every align response says so.
+  // The tiny fixture is far below the 4096-row IVF threshold, so "auto"
+  // serves exact — and every align response says so.
   auto engine =
       serve::QueryEngine::Open(WriteBundle(), serve::EngineOptions{});
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -378,6 +378,25 @@ TEST_F(ServeTest, IvfPolicyOnIndexlessBundleDegradesToExact) {
   auto engine = serve::QueryEngine::Open(WriteBundle(), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_STREQ((*engine)->AcquireState()->index().name(), "exact");
+}
+
+// Only auto|exact|ivf name a strategy. Anything else is refused by name,
+// before the bundle is read (the missing directory is never reached),
+// rather than served exact.
+TEST_F(ServeTest, OpenRejectsUnknownIndexPolicy) {
+  std::string bundle_dir = WriteBundle();
+  for (const std::string policy : {"bogus", ""}) {
+    serve::EngineOptions options;
+    options.index_policy = policy;
+    for (const std::string& dir : {bundle_dir, std::string("/no/such")}) {
+      auto engine = serve::QueryEngine::Open(dir, options);
+      ASSERT_FALSE(engine.ok()) << "policy '" << policy << "' dir " << dir;
+      EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(engine.status().message().find("'" + policy + "'"),
+                std::string::npos)
+          << engine.status().message();
+    }
+  }
 }
 
 TEST_F(ServeTest, CorruptedPersistedIndexFailsChecksum) {
@@ -554,7 +573,7 @@ TEST(ExplainLruCacheTest, SizeGaugeTracksEveryMutation) {
   EXPECT_EQ(registry.GaugeValue("serve.explain_cache.size"), 0.0);
 }
 
-// ------------------------------------------------- hot swap + sharding
+// ------------------------------------------------------------------ hot swap
 
 // The stale-explain-cache regression. Before the epoch-keyed cache +
 // clear-on-swap, this failed: the post-swap explain served the OLD
@@ -644,23 +663,25 @@ TEST_F(ServeTest, FailedLoadSnapshotKeepsCurrentVersionServing) {
   EXPECT_TRUE(still.ok()) << still.status().ToString();
 }
 
+// The manager holds only the current version, so a retired version
+// lives exactly as long as some reader pins it.
 TEST_F(ServeTest, EngineStatusTracksVersionsAcrossSwaps) {
   obs::Registry registry;
   serve::EngineOptions options;
   options.registry = &registry;
-  options.max_resident_versions = 2;
   auto engine = serve::QueryEngine::Open(WriteBundle(), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   serve::EngineStatusResult fresh = (*engine)->EngineStatus();
   EXPECT_EQ(fresh.epoch, 1u);
-  EXPECT_EQ(fresh.shards, 1u);
   EXPECT_EQ(fresh.index, "exact");
   EXPECT_EQ(fresh.index_size, Pipeline().dataset.kg2.num_entities());
-  EXPECT_EQ(fresh.resident_versions, 1u);
   EXPECT_EQ(fresh.live_versions, 1.0);
   EXPECT_EQ(fresh.swaps, 0u);
 
+  // A reader pins version 1 across the swap: both versions are alive.
+  std::shared_ptr<const serve::ServingState> pinned =
+      (*engine)->AcquireState();
   std::string alt = WriteAltBundle();
   auto second = (*engine)->LoadSnapshot(alt);
   ASSERT_TRUE(second.ok());
@@ -668,33 +689,32 @@ TEST_F(ServeTest, EngineStatusTracksVersionsAcrossSwaps) {
   serve::EngineStatusResult swapped = (*engine)->EngineStatus();
   EXPECT_EQ(swapped.epoch, 2u);
   EXPECT_EQ(swapped.swaps, 1u);
-  // max_resident_versions = 2: the retired version stays pinned by the
-  // manager itself, so both are alive.
-  EXPECT_EQ(swapped.resident_versions, 2u);
-  EXPECT_EQ(swapped.live_versions, 2.0);
   EXPECT_EQ(swapped.source, alt);
+  EXPECT_EQ(swapped.live_versions, 2.0);
+  EXPECT_EQ(pinned->epoch(), 1u);
 
-  // A third install evicts the oldest resident; with no reader pinning
-  // it, the version count settles back to the resident cap.
+  // Dropping the reader's handle frees version 1.
+  pinned.reset();
+  EXPECT_EQ((*engine)->EngineStatus().live_versions, 1.0);
+
+  // With no reader pinning version 2, the next swap frees it at once.
   auto third = (*engine)->LoadSnapshot(WriteBundle());
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(*third, 3u);
   serve::EngineStatusResult settled = (*engine)->EngineStatus();
-  EXPECT_EQ(settled.resident_versions, 2u);
-  EXPECT_EQ(settled.live_versions, 2.0);
+  EXPECT_EQ(settled.live_versions, 1.0);
   EXPECT_EQ(settled.swaps, 2u);
 }
 
 // The index-borrow lifetime regression, shaped for TSAN: readers align
 // against whatever version they pinned while the main thread churns
-// swaps with max_resident_versions = 1, so every retired version's only
-// lifeline is the readers' refcounted handles. With the old raw
-// `&bundle_->emb2` borrow this was a use-after-free under swap.
+// swaps. The manager holds only the current version, so every retired
+// version's only lifeline is the readers' refcounted handles. With the
+// old raw `&bundle_->emb2` borrow this was a use-after-free under swap.
 TEST_F(ServeTest, SwapChurnWhileAlignsStayInFlight) {
   obs::Registry registry;
   serve::EngineOptions options;
   options.registry = &registry;
-  options.max_resident_versions = 1;
   auto engine = serve::QueryEngine::Open(WriteBundle(), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   std::string a = WriteBundle();
@@ -735,46 +755,6 @@ TEST_F(ServeTest, SwapChurnWhileAlignsStayInFlight) {
   // Every retired version was actually freed once its readers drained:
   // the versions gauge decrements in the handle's deleter.
   EXPECT_EQ(registry.GaugeValue("serve.snapshot.versions"), 1.0);
-}
-
-// Sharded serving is an implementation detail: for every shard count the
-// full response bytes — candidates, scores, ordering, index name — must
-// match the single-index engine exactly on the exact-scan path.
-TEST_F(ServeTest, ShardedServingIsByteIdenticalToSingleShard) {
-  std::string bundle_dir = WriteBundle();
-  std::vector<std::string> names;
-  for (kg::EntityId e = 0; e < Pipeline().dataset.kg1.num_entities(); ++e) {
-    names.push_back(Pipeline().dataset.kg1.EntityName(e));
-  }
-
-  for (size_t k : {size_t{1}, size_t{3}, size_t{10}}) {
-    serve::EngineOptions single_options;
-    single_options.top_k = k;
-    auto single = serve::QueryEngine::Open(bundle_dir, single_options);
-    ASSERT_TRUE(single.ok()) << single.status().ToString();
-    serve::Server single_server((*single).get(), serve::ServerOptions{});
-
-    for (size_t shards : {size_t{2}, size_t{3}, size_t{5}, size_t{8}}) {
-      serve::EngineOptions sharded_options;
-      sharded_options.top_k = k;
-      sharded_options.shards = shards;
-      auto sharded = serve::QueryEngine::Open(bundle_dir, sharded_options);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      EXPECT_EQ((*sharded)->EngineStatus().shards,
-                std::min(shards, Pipeline().dataset.kg2.num_entities()));
-      // The shard layout is invisible in the reported strategy…
-      EXPECT_STREQ((*sharded)->AcquireState()->index().name(), "exact");
-      // …and in every served byte.
-      serve::Server sharded_server((*sharded).get(), serve::ServerOptions{});
-      for (const std::string& name : names) {
-        std::string request = StrFormat(
-            "{\"op\":\"align\",\"entity\":\"%s\"}", name.c_str());
-        EXPECT_EQ(sharded_server.HandleLine(request),
-                  single_server.HandleLine(request))
-            << "k=" << k << " shards=" << shards << " entity=" << name;
-      }
-    }
-  }
 }
 
 TEST_F(ServeTest, NeighborsAndRepairStatus) {
@@ -1049,13 +1029,14 @@ TEST_F(ServerTest, LoadSnapshotOpSwapsAndEngineStatusReports) {
   EXPECT_EQ(status0.rfind("{\"ok\":true", 0), 0u) << status0;
   EXPECT_NE(status0.find("\"epoch\":1"), std::string::npos) << status0;
   EXPECT_NE(status0.find("\"swaps\":0"), std::string::npos) << status0;
-  EXPECT_NE(status0.find("\"shards\":1"), std::string::npos) << status0;
+  EXPECT_NE(status0.find("\"live_versions\":1"), std::string::npos)
+      << status0;
 
   std::string swap = server_->HandleLine(StrFormat(
       "{\"op\":\"load_snapshot\",\"dir\":\"%s\"}",
       serve::JsonEscape(alt).c_str()));
-  EXPECT_EQ(swap.rfind("{\"ok\":true", 0), 0u) << swap;
-  EXPECT_NE(swap.find("\"epoch\":2"), std::string::npos) << swap;
+  EXPECT_EQ(swap, "{\"ok\":true,\"op\":\"load_snapshot\",\"epoch\":2,"
+                  "\"swaps\":1}");
 
   std::string status1 = server_->HandleLine("{\"op\":\"engine_status\"}");
   EXPECT_NE(status1.find("\"epoch\":2"), std::string::npos) << status1;

@@ -187,7 +187,6 @@ const char* SubcommandHelp(const std::string& command) {
   if (command == "serve") {
     return "exea_cli serve --bundle BUNDLE [--port N] [--deadline-ms N]\n"
            "  [--cache N] [--topk N] [--index auto|exact|ivf]\n"
-           "  [--shards N] [--resident N]\n"
            "  [--workers N] [--queue N] [--max-conns N]\n"
            "  Load a snapshot bundle and answer newline-delimited JSON\n"
            "  requests on stdin/stdout, one response line per request\n"
@@ -202,13 +201,9 @@ const char* SubcommandHelp(const std::string& command) {
            "  (full queue => UNAVAILABLE), at most --max-conns clients;\n"
            "  each request, align included, runs whole on the worker\n"
            "  that dequeued it, and responses are byte-identical to the\n"
-           "  stdin path.\n"
-           "  --shards N partitions the target table row-wise across N\n"
-           "  per-shard indexes searched in parallel; results are\n"
-           "  bit-identical to --shards 1 on the exact path. --resident N\n"
-           "  keeps the newest N snapshot versions pinned after hot swaps\n"
-           "  (in-flight requests retain older versions until they "
-           "drain).\n";
+           "  stdin path. A load_snapshot hot swap keeps only the new\n"
+           "  version; in-flight requests retain the one they started on\n"
+           "  until they drain.\n";
   }
   if (command == "swap") {
     return "exea_cli swap --port N --bundle DIR\n"
@@ -230,7 +225,8 @@ const char* SubcommandHelp(const std::string& command) {
     return "exea_cli bench-load --bundle BUNDLE [--clients N] "
            "[--requests N]\n"
            "  [--pipeline N] [--op align|explain|stats|mixed]\n"
-           "  [--deadline-ms N] [--workers N] [--queue N]\n"
+           "  [--deadline-ms N] [--cache N] [--topk N]\n"
+           "  [--index auto|exact|ivf] [--workers N] [--queue N]\n"
            "  [--swap-bundle DIR] [--swaps N]\n"
            "exea_cli bench-load --port N [--clients N] [--requests N]\n"
            "  [--pipeline N]\n"
@@ -239,8 +235,9 @@ const char* SubcommandHelp(const std::string& command) {
            "  from --bundle (kernel-assigned port, no port races), or an\n"
            "  already-running server with --port (stats op only).\n"
            "  --pipeline K keeps up to K requests in flight per client.\n"
-           "  --workers and --queue size the self-hosted server as they\n"
-           "  do for `exea_cli serve`, with the same defaults.\n"
+           "  --deadline-ms, --cache, --topk, --index, --workers and\n"
+           "  --queue configure the self-hosted server as they do for\n"
+           "  `exea_cli serve`, with the same defaults.\n"
            "  Prints one machine-greppable result line (QPS, reject and\n"
            "  shed counts, p50/p99 latency) and exits non-zero if any\n"
            "  response is malformed or missing.\n"
@@ -661,36 +658,43 @@ void ReadSizeFlag(const Flags& flags, const char* name, size_t* value) {
       flags.GetInt(name, static_cast<int64_t>(*value)));
 }
 
+// ReadSizeFlag for a millisecond flag stored as seconds.
+void ReadMillisFlag(const Flags& flags, const char* name, double* seconds) {
+  *seconds = static_cast<double>(flags.GetInt(
+                 name, static_cast<int64_t>(*seconds * 1e3))) /
+             1e3;
+}
+
+// The engine flags serve and bench-load share, over EngineOptions' own
+// defaults.
+serve::EngineOptions ReadEngineFlags(const Flags& flags) {
+  serve::EngineOptions options;
+  ReadSizeFlag(flags, "cache", &options.explain_cache_capacity);
+  ReadSizeFlag(flags, "topk", &options.top_k);
+  options.index_policy = flags.GetString("index", options.index_policy);
+  return options;
+}
+
 int CmdServe(const Flags& flags) {
   std::string bundle_dir = flags.GetString("bundle", "");
   if (bundle_dir.empty()) return Fail("--bundle is required");
-  serve::EngineOptions engine_options;
-  engine_options.explain_cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 256));
-  engine_options.top_k = static_cast<size_t>(flags.GetInt("topk", 5));
-  engine_options.index_policy = flags.GetString("index", "auto");
-  engine_options.shards = static_cast<size_t>(flags.GetInt("shards", 1));
-  engine_options.max_resident_versions =
-      static_cast<size_t>(flags.GetInt("resident", 2));
-  auto engine = serve::QueryEngine::Open(bundle_dir, engine_options);
+  auto engine = serve::QueryEngine::Open(bundle_dir, ReadEngineFlags(flags));
   if (!engine.ok()) return Fail(engine.status().ToString());
   {
     std::shared_ptr<const serve::ServingState> state =
         (*engine)->AcquireState();
     std::fprintf(stderr,
                  "serving %s (%s, %zu pairs, index %s over %zu "
-                 "entities, %zu shard%s, epoch %llu)\n",
+                 "entities, epoch %llu)\n",
                  bundle_dir.c_str(),
                  state->bundle().meta.model_name.c_str(),
                  state->bundle().repaired.size(), state->index().name(),
-                 state->index().size(), state->shards(),
-                 state->shards() == 1 ? "" : "s",
+                 state->index().size(),
                  static_cast<unsigned long long>(state->epoch()));
   }
 
   serve::ServerOptions server_options;
-  server_options.deadline_seconds =
-      static_cast<double>(flags.GetInt("deadline-ms", 5000)) / 1e3;
+  ReadMillisFlag(flags, "deadline-ms", &server_options.deadline_seconds);
   if (flags.Has("port")) {
     int port = static_cast<int>(flags.GetInt("port", 0));
     serve::AsyncServerOptions async_options;
@@ -949,12 +953,7 @@ int CmdBenchLoad(const Flags& flags) {
     }
   } else {
     if (op.empty()) op = "align";
-    serve::EngineOptions engine_options;
-    engine_options.explain_cache_capacity =
-        static_cast<size_t>(flags.GetInt("cache", 256));
-    engine_options.top_k = static_cast<size_t>(flags.GetInt("topk", 5));
-    engine_options.index_policy = flags.GetString("index", "auto");
-    auto opened = serve::QueryEngine::Open(bundle_dir, engine_options);
+    auto opened = serve::QueryEngine::Open(bundle_dir, ReadEngineFlags(flags));
     if (!opened.ok()) return Fail(opened.status().ToString());
     engine = std::move(*opened);
 
@@ -981,8 +980,8 @@ int CmdBenchLoad(const Flags& flags) {
     }
 
     serve::AsyncServerOptions async_options;
-    async_options.server.deadline_seconds =
-        static_cast<double>(flags.GetInt("deadline-ms", 5000)) / 1e3;
+    ReadMillisFlag(flags, "deadline-ms",
+                   &async_options.server.deadline_seconds);
     ReadSizeFlag(flags, "workers", &async_options.workers);
     ReadSizeFlag(flags, "queue", &async_options.queue_capacity);
     hosted = std::make_unique<serve::AsyncServer>(engine.get(),
