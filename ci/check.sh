@@ -30,8 +30,11 @@
 #      (serve_test, incl. SwapChurnWhileAlignsStayInFlight,
 #      ConcurrentAlignsMatchHandleLine and
 #      HotSwapUnderConcurrentLoadDropsNothing), the SIMD kernels under
-#      the parallel similarity scans (simd_test), and the exact and IVF
-#      indexes queried from pool workers (index_test),
+#      the parallel similarity scans (simd_test), the exact and IVF
+#      indexes queried from pool workers (index_test), and the snapshot
+#      loader's error paths on pool threads (hostile_input_test: every
+#      corruption recipe exits early while other payloads still parse,
+#      and every recipe is replayed as a hot-swap target),
 #   6. asan+ubsan: the full ctest suite under AddressSanitizer +
 #      UndefinedBehaviorSanitizer with EXEA_DCHECKS=ON, so the contract
 #      layer (src/util/check.h) is exercised together with the
@@ -105,11 +108,11 @@ if [[ "${FAST}" == 1 ]]; then
   exit 0
 fi
 
-echo "=== tsan: parallel_test + obs_test + net_test + explain_test + serve_test + simd_test + index_test ==="
+echo "=== tsan: parallel_test + obs_test + net_test + explain_test + serve_test + simd_test + index_test + hostile_input_test ==="
 cmake -B build-tsan -S . -DEXEA_SANITIZE=thread -DEXEA_DCHECKS=ON
 cmake --build build-tsan -j"${JOBS}" --target \
   parallel_test obs_test net_test explain_test serve_test simd_test \
-  index_test
+  index_test hostile_input_test
 ./build-tsan/tests/parallel_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/net_test
@@ -117,6 +120,7 @@ cmake --build build-tsan -j"${JOBS}" --target \
 ./build-tsan/tests/serve_test
 ./build-tsan/tests/simd_test
 ./build-tsan/tests/index_test
+./build-tsan/tests/hostile_input_test
 
 echo "=== asan+ubsan: full ctest ==="
 cmake -B build-asan -S . -DEXEA_SANITIZE=address,undefined -DEXEA_DCHECKS=ON

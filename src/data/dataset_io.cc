@@ -1,9 +1,10 @@
 #include "data/dataset_io.h"
 
-#include <algorithm>
 #include <filesystem>
+#include <span>
 
 #include "kg/kg_io.h"
+#include "util/file.h"
 #include "util/tsv.h"
 
 namespace exea::data {
@@ -21,15 +22,22 @@ Status SaveAttributes(const kg::AttributeStore& attrs,
   return WriteTsv(path, rows);
 }
 
-Status LoadAttributes(const std::string& path,
-                      const kg::KnowledgeGraph& graph,
-                      kg::AttributeStore& attrs) {
-  auto rows = ReadTsv(path, 3);
+// Dataset file names relative to its directory, indexed by kg::KgSide.
+const char* const kTriplesFiles[] = {"kg1_triples.tsv", "kg2_triples.tsv"};
+const char* const kAttributeFiles[] = {"attr_triples_1.tsv",
+                                       "attr_triples_2.tsv"};
+
+Status ParseAttributes(std::string_view text, const std::string& name,
+                       const kg::KnowledgeGraph& graph,
+                       kg::AttributeStore& attrs) {
+  auto rows = SplitTsv(text, 3, name);
   if (!rows.ok()) return rows.status();
-  for (const auto& row : *rows) {
+  for (size_t r = 0; r < rows->size(); ++r) {
+    std::span<const std::string_view> row = (*rows)[r];
     kg::EntityId entity = graph.FindEntity(row[0]);
     if (entity == kg::kInvalidEntity) {
-      return Status::NotFound("unknown entity in attribute file: " + row[0]);
+      return Status::NotFound("unknown entity in attribute file: " +
+                              std::string(row[0]));
     }
     attrs.AddTriple(entity, row[1], row[2]);
   }
@@ -62,50 +70,43 @@ Status SaveDataset(const EaDataset& dataset, const std::string& dir) {
                            dir + "/test_links.tsv");
 }
 
-namespace {
-
-// Shared loading path. When `dicts` is non-null the graphs are pre-interned
-// from it (id-stable load) and triples must stay within the dictionaries.
-StatusOr<EaDataset> LoadDatasetImpl(const std::string& dir,
-                                    const std::string& name,
-                                    const DatasetDictionaries* dicts) {
-  EaDataset dataset;
-  dataset.name = name;
-  if (dicts != nullptr) {
-    for (const std::string& entity : dicts->entities1) {
-      dataset.kg1.AddEntity(entity);
-    }
-    for (const std::string& relation : dicts->relations1) {
-      dataset.kg1.AddRelation(relation);
-    }
-    for (const std::string& entity : dicts->entities2) {
-      dataset.kg2.AddEntity(entity);
-    }
-    for (const std::string& relation : dicts->relations2) {
-      dataset.kg2.AddRelation(relation);
-    }
-  }
-  EXEA_RETURN_IF_ERROR(
-      kg::LoadTriplesInto(dir + "/kg1_triples.tsv", dataset.kg1));
-  EXEA_RETURN_IF_ERROR(
-      kg::LoadTriplesInto(dir + "/kg2_triples.tsv", dataset.kg2));
-  if (dicts != nullptr &&
-      (dataset.kg1.num_entities() != dicts->entities1.size() ||
-       dataset.kg1.num_relations() != dicts->relations1.size() ||
-       dataset.kg2.num_entities() != dicts->entities2.size() ||
-       dataset.kg2.num_relations() != dicts->relations2.size())) {
+Status BuildGraph(const std::string& dir, kg::KgSide side,
+                  std::string_view triples, const std::string* attributes,
+                  const DatasetDictionaries* dicts, EaDataset& dataset) {
+  int index = static_cast<int>(side);
+  bool source = side == kg::KgSide::kSource;
+  kg::KnowledgeGraph& graph = source ? dataset.kg1 : dataset.kg2;
+  static const std::vector<std::string> kUnpinned;
+  const std::vector<std::string>& entities =
+      dicts == nullptr ? kUnpinned
+                       : source ? dicts->entities1 : dicts->entities2;
+  const std::vector<std::string>& relations =
+      dicts == nullptr ? kUnpinned
+                       : source ? dicts->relations1 : dicts->relations2;
+  for (const std::string& entity : entities) graph.AddEntity(entity);
+  for (const std::string& relation : relations) graph.AddRelation(relation);
+  EXEA_RETURN_IF_ERROR(kg::ParseTriplesInto(
+      triples, dir + "/" + kTriplesFiles[index], graph));
+  if (dicts != nullptr && (graph.num_entities() != entities.size() ||
+                           graph.num_relations() != relations.size())) {
     return Status::InvalidArgument(
         "triple files mention names absent from the saved dictionaries: " +
         dir);
   }
+  if (attributes == nullptr) return Status::Ok();
+  return ParseAttributes(*attributes, dir + "/" + kAttributeFiles[index],
+                         graph, source ? dataset.attrs1 : dataset.attrs2);
+}
 
-  auto train =
-      kg::LoadAlignment(dir + "/train_links.tsv", dataset.kg1, dataset.kg2);
+Status LinkDataset(const std::string& dir, std::string_view train_links,
+                   std::string_view test_links, EaDataset& dataset) {
+  auto train = kg::ParseAlignment(train_links, dir + "/train_links.tsv",
+                                  dataset.kg1, dataset.kg2);
   if (!train.ok()) return train.status();
   dataset.train = std::move(*train);
 
-  auto test =
-      kg::LoadAlignment(dir + "/test_links.tsv", dataset.kg1, dataset.kg2);
+  auto test = kg::ParseAlignment(test_links, dir + "/test_links.tsv",
+                                 dataset.kg1, dataset.kg2);
   if (!test.ok()) return test.status();
 
   for (const kg::AlignedPair& pair : dataset.train.SortedPairs()) {
@@ -122,16 +123,37 @@ StatusOr<EaDataset> LoadDatasetImpl(const std::string& dir,
     dataset.test_gold[pair.source] = pair.target;
     dataset.test_sources.push_back(pair.source);
   }
-  for (const auto& [path, graph, attrs] :
-       {std::tuple<std::string, const kg::KnowledgeGraph*,
-                   kg::AttributeStore*>{dir + "/attr_triples_1.tsv",
-                                        &dataset.kg1, &dataset.attrs1},
-        {dir + "/attr_triples_2.tsv", &dataset.kg2, &dataset.attrs2}}) {
-    if (std::filesystem::exists(path)) {
-      EXEA_RETURN_IF_ERROR(LoadAttributes(path, *graph, *attrs));
-    }
-  }
   ValidateDataset(dataset);
+  return Status::Ok();
+}
+
+namespace {
+
+// The path form: reads each file, then runs the two steps in order. When
+// `dicts` is non-null the graphs are pre-interned from it (id-stable load).
+StatusOr<EaDataset> LoadDatasetImpl(const std::string& dir,
+                                    const std::string& name,
+                                    const DatasetDictionaries* dicts) {
+  EaDataset dataset;
+  dataset.name = name;
+  for (kg::KgSide side : {kg::KgSide::kSource, kg::KgSide::kTarget}) {
+    int index = static_cast<int>(side);
+    auto triples = ReadFile(dir + "/" + kTriplesFiles[index]);
+    if (!triples.ok()) return triples.status();
+    std::string attr_path = dir + "/" + kAttributeFiles[index];
+    bool has_attributes = std::filesystem::exists(attr_path);
+    StatusOr<std::string> attributes = std::string();
+    if (has_attributes) attributes = ReadFile(attr_path);
+    if (!attributes.ok()) return attributes.status();
+    EXEA_RETURN_IF_ERROR(BuildGraph(dir, side, *triples,
+                                    has_attributes ? &*attributes : nullptr,
+                                    dicts, dataset));
+  }
+  auto train = ReadFile(dir + "/train_links.tsv");
+  if (!train.ok()) return train.status();
+  auto test = ReadFile(dir + "/test_links.tsv");
+  if (!test.ok()) return test.status();
+  EXEA_RETURN_IF_ERROR(LinkDataset(dir, *train, *test, dataset));
   return dataset;
 }
 

@@ -10,14 +10,20 @@
 // LoadDataset reconstructs gold from train + test links (the synthetic
 // generator's full gold map equals their union). Attribute files are
 // loaded when present and skipped otherwise.
+//
+// A load is two steps over the files' bytes: BuildGraph once per KG, then
+// LinkDataset. LoadDataset reads the files and runs them in order;
+// serve::ReadSnapshot runs the two graph steps as independent tasks.
 
 #ifndef EXEA_DATA_DATASET_IO_H_
 #define EXEA_DATA_DATASET_IO_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
+#include "kg/types.h"
 #include "util/status.h"
 
 namespace exea::data {
@@ -51,6 +57,26 @@ struct DatasetDictionaries {
 [[nodiscard]] StatusOr<EaDataset> LoadDataset(const std::string& dir,
                                 const std::string& name,
                                 const DatasetDictionaries& dicts);
+
+// Step 1 of a load, once per KG; `side` picks kg1/attrs1 or kg2/attrs2
+// of `dataset`, and only those two are touched, so the two sides may run
+// concurrently. Interns that side's half of `dicts` when it is non-null,
+// adds the triples in `triples`, fails if they name anything outside a
+// pinned dictionary, then adds the attribute triples in `*attributes`
+// when it is non-null. `dir` is the dataset directory: error messages
+// name the files under it as LoadDataset's do.
+[[nodiscard]] Status BuildGraph(const std::string& dir, kg::KgSide side,
+                                std::string_view triples,
+                                const std::string* attributes,
+                                const DatasetDictionaries* dicts,
+                                EaDataset& dataset);
+
+// Step 2, once both graphs are built: the train and test links, the gold
+// maps, the train/test overlap check and ValidateDataset.
+[[nodiscard]] Status LinkDataset(const std::string& dir,
+                                 std::string_view train_links,
+                                 std::string_view test_links,
+                                 EaDataset& dataset);
 
 }  // namespace exea::data
 

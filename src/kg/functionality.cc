@@ -1,7 +1,5 @@
 #include "kg/functionality.h"
 
-#include <unordered_set>
-
 #include "util/logging.h"
 
 namespace exea::kg {
@@ -10,19 +8,31 @@ RelationFunctionality::RelationFunctionality(const KnowledgeGraph& graph) {
   size_t num_rel = graph.num_relations();
   func_.assign(num_rel, 0.0);
   ifunc_.assign(num_rel, 0.0);
+  // head_seen[e] == r + 1 once e has been counted as a head of relation r
+  // (0: never counted), and likewise for tails, so one pass over a
+  // relation's triples counts its distinct heads and tails exactly.
+  std::vector<RelationId> head_seen(graph.num_entities(), 0);
+  std::vector<RelationId> tail_seen(graph.num_entities(), 0);
   for (RelationId r = 0; r < num_rel; ++r) {
     const std::vector<uint32_t>& indexes = graph.TriplesOfRelation(r);
     if (indexes.empty()) continue;
-    std::unordered_set<EntityId> heads;
-    std::unordered_set<EntityId> tails;
+    RelationId stamp = r + 1;
+    size_t heads = 0;
+    size_t tails = 0;
     for (uint32_t idx : indexes) {
       const Triple& t = graph.triples()[idx];
-      heads.insert(t.head);
-      tails.insert(t.tail);
+      if (head_seen[t.head] != stamp) {
+        head_seen[t.head] = stamp;
+        ++heads;
+      }
+      if (tail_seen[t.tail] != stamp) {
+        tail_seen[t.tail] = stamp;
+        ++tails;
+      }
     }
     double n = static_cast<double>(indexes.size());
-    func_[r] = static_cast<double>(heads.size()) / n;
-    ifunc_[r] = static_cast<double>(tails.size()) / n;
+    func_[r] = static_cast<double>(heads) / n;
+    ifunc_[r] = static_cast<double>(tails) / n;
   }
 }
 

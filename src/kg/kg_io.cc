@@ -1,5 +1,8 @@
 #include "kg/kg_io.h"
 
+#include <span>
+
+#include "util/file.h"
 #include "util/tsv.h"
 
 namespace exea::kg {
@@ -11,9 +14,17 @@ StatusOr<KnowledgeGraph> LoadTriples(const std::string& path) {
 }
 
 Status LoadTriplesInto(const std::string& path, KnowledgeGraph& graph) {
-  auto rows = ReadTsv(path, 3);
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseTriplesInto(*text, path, graph);
+}
+
+Status ParseTriplesInto(std::string_view text, const std::string& name,
+                        KnowledgeGraph& graph) {
+  auto rows = SplitTsv(text, 3, name);
   if (!rows.ok()) return rows.status();
-  for (const auto& row : *rows) {
+  for (size_t r = 0; r < rows->size(); ++r) {
+    std::span<const std::string_view> row = (*rows)[r];
     graph.AddTriple(row[0], row[1], row[2]);
   }
   return Status::Ok();
@@ -32,17 +43,29 @@ Status SaveTriples(const KnowledgeGraph& graph, const std::string& path) {
 StatusOr<AlignmentSet> LoadAlignment(const std::string& path,
                                      const KnowledgeGraph& source,
                                      const KnowledgeGraph& target) {
-  auto rows = ReadTsv(path, 2);
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseAlignment(*text, path, source, target);
+}
+
+StatusOr<AlignmentSet> ParseAlignment(std::string_view text,
+                                      const std::string& name,
+                                      const KnowledgeGraph& source,
+                                      const KnowledgeGraph& target) {
+  auto rows = SplitTsv(text, 2, name);
   if (!rows.ok()) return rows.status();
   AlignmentSet alignment;
-  for (const auto& row : *rows) {
+  for (size_t r = 0; r < rows->size(); ++r) {
+    std::span<const std::string_view> row = (*rows)[r];
     EntityId s = source.FindEntity(row[0]);
     if (s == kInvalidEntity) {
-      return Status::NotFound("unknown source entity: " + row[0]);
+      return Status::NotFound("unknown source entity: " +
+                              std::string(row[0]));
     }
     EntityId t = target.FindEntity(row[1]);
     if (t == kInvalidEntity) {
-      return Status::NotFound("unknown target entity: " + row[1]);
+      return Status::NotFound("unknown target entity: " +
+                              std::string(row[1]));
     }
     alignment.Add(s, t);
   }
@@ -72,15 +95,23 @@ Status SaveDictionary(const Dictionary& dictionary, const std::string& path) {
 
 StatusOr<std::vector<std::string>> LoadDictionaryNames(
     const std::string& path) {
-  auto rows = ReadTsv(path, 1);
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseDictionaryNames(*text, path);
+}
+
+StatusOr<std::vector<std::string>> ParseDictionaryNames(
+    std::string_view text, const std::string& name) {
+  auto rows = SplitTsv(text, 1, name);
   if (!rows.ok()) return rows.status();
   std::vector<std::string> names;
   names.reserve(rows->size());
-  for (auto& row : *rows) {
-    if (row[0].empty()) {
-      return Status::InvalidArgument("empty name in dictionary file: " + path);
+  for (size_t r = 0; r < rows->size(); ++r) {
+    std::string_view first = (*rows)[r][0];
+    if (first.empty()) {
+      return Status::InvalidArgument("empty name in dictionary file: " + name);
     }
-    names.push_back(std::move(row[0]));
+    names.emplace_back(first);
   }
   return names;
 }

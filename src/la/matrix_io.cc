@@ -36,14 +36,12 @@ Status SaveMatrix(const Matrix& matrix, const std::string& path) {
   return WriteFile(path, text);
 }
 
-StatusOr<Matrix> LoadMatrix(const std::string& path) {
-  auto text = ReadFile(path);
-  if (!text.ok()) return text.status();
-  util::NumberScanner in(*text);
+StatusOr<Matrix> ParseMatrix(std::string_view text, const std::string& name) {
+  util::NumberScanner in(text);
   size_t rows = 0;
   size_t cols = 0;
   if (!in.Next(&rows) || !in.Next(&cols)) {
-    return Status::InvalidArgument("bad matrix header in " + path);
+    return Status::InvalidArgument("bad matrix header in " + name);
   }
   // A garbled header can decode to absurd dimensions; refuse before the
   // allocation instead of aborting inside it. The element budget caps the
@@ -55,7 +53,7 @@ StatusOr<Matrix> LoadMatrix(const std::string& path) {
   if (rows > kMaxElements || cols > kMaxElements ||
       (cols != 0 && rows > kMaxElements / cols)) {
     std::ostringstream msg;
-    msg << path << ": implausible matrix dimensions " << rows << "x" << cols;
+    msg << name << ": implausible matrix dimensions " << rows << "x" << cols;
     return Status::InvalidArgument(msg.str());
   }
   Matrix matrix(rows, cols);
@@ -64,12 +62,18 @@ StatusOr<Matrix> LoadMatrix(const std::string& path) {
     for (size_t c = 0; c < cols; ++c) {
       if (!in.Next(&row[c])) {
         std::ostringstream msg;
-        msg << path << ": truncated at row " << r << " col " << c;
+        msg << name << ": truncated at row " << r << " col " << c;
         return Status::InvalidArgument(msg.str());
       }
     }
   }
   return matrix;
+}
+
+StatusOr<Matrix> LoadMatrix(const std::string& path) {
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseMatrix(*text, path);
 }
 
 }  // namespace exea::la

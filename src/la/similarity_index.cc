@@ -243,14 +243,13 @@ Status SaveIvfIndexData(const IvfIndexData& data, const std::string& path) {
   return WriteFile(path, text);
 }
 
-StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
-  auto text = ReadFile(path);
-  if (!text.ok()) return text.status();
-  util::NumberScanner in(*text);
+StatusOr<IvfIndexData> ParseIvfIndexData(std::string_view text,
+                                         const std::string& name) {
+  util::NumberScanner in(text);
   uint64_t version = 0;
   if (in.NextToken() != "exea_ivf_index" || !in.Next(&version) ||
       version != 1) {
-    return Status::InvalidArgument("bad ivf index header in " + path);
+    return Status::InvalidArgument("bad ivf index header in " + name);
   }
   size_t clusters = 0;
   size_t dim = 0;
@@ -259,7 +258,7 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
   if (!in.Next(&clusters) || !in.Next(&dim) || !in.Next(&rows) ||
       !in.Next(&data.nprobe) || !in.Next(&data.iterations) ||
       !in.Next(&data.seed)) {
-    return Status::InvalidArgument("bad ivf index dimensions in " + path);
+    return Status::InvalidArgument("bad ivf index dimensions in " + name);
   }
   // Same pre-allocation guard as LoadMatrix: refuse absurd sizes before
   // allocating, with division so the product cannot wrap.
@@ -268,7 +267,7 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
       dim > kMaxElements || clusters > kMaxElements / dim ||
       rows > kMaxElements) {
     std::ostringstream msg;
-    msg << path << ": implausible ivf index shape " << clusters << "x" << dim
+    msg << name << ": implausible ivf index shape " << clusters << "x" << dim
         << " over " << rows << " rows";
     return Status::InvalidArgument(msg.str());
   }
@@ -278,7 +277,7 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
     for (size_t d = 0; d < dim; ++d) {
       if (!in.Next(&row[d])) {
         std::ostringstream msg;
-        msg << path << ": truncated centroid " << c;
+        msg << name << ": truncated centroid " << c;
         return Status::InvalidArgument(msg.str());
       }
     }
@@ -289,14 +288,14 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
     size_t len = 0;
     if (!in.Next(&len) || len > rows) {
       std::ostringstream msg;
-      msg << path << ": bad posting list length for list " << c;
+      msg << name << ": bad posting list length for list " << c;
       return Status::InvalidArgument(msg.str());
     }
     data.lists[c].resize(len);
     for (size_t p = 0; p < len; ++p) {
       if (!in.Next(&data.lists[c][p])) {
         std::ostringstream msg;
-        msg << path << ": truncated posting list " << c;
+        msg << name << ": truncated posting list " << c;
         return Status::InvalidArgument(msg.str());
       }
     }
@@ -304,11 +303,17 @@ StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
   }
   if (total != rows) {
     std::ostringstream msg;
-    msg << path << ": posting lists cover " << total << " rows, header says "
+    msg << name << ": posting lists cover " << total << " rows, header says "
         << rows;
     return Status::InvalidArgument(msg.str());
   }
   return data;
+}
+
+StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path) {
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseIvfIndexData(*text, path);
 }
 
 // ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "la/matrix.h"
@@ -119,16 +120,21 @@ IvfIndexData TrainIvfIndex(const Matrix& table, const IvfOptions& options);
 
 // Structural validation of `data` against the table it claims to index:
 // centroid/table dim match, every row id < table_rows, each row in
-// exactly one list, sane nprobe. Everything Load* or ReadSnapshot
-// accepts must pass this before a query runs.
+// exactly one list, sane nprobe. Everything ParseIvfIndexData or
+// ReadSnapshot accepts must pass this before a query runs.
 [[nodiscard]] Status ValidateIvfIndexData(const IvfIndexData& data,
                                           size_t table_rows,
                                           size_t table_cols);
 
 // Plain-text persistence, same %.9g discipline as matrix_io (byte-exact
 // round trip, deterministic bytes for deterministic data).
+// ParseIvfIndexData reads the format out of `text`, with `name` (the path,
+// for a file) prefixing every error message; LoadIvfIndexData is ReadFile
+// plus ParseIvfIndexData.
 [[nodiscard]] Status SaveIvfIndexData(const IvfIndexData& data,
                                       const std::string& path);
+[[nodiscard]] StatusOr<IvfIndexData> ParseIvfIndexData(
+    std::string_view text, const std::string& name);
 [[nodiscard]] StatusOr<IvfIndexData> LoadIvfIndexData(const std::string& path);
 
 // Query-side view over a trained IvfIndexData and the table it indexes

@@ -1,8 +1,8 @@
 #include "serve/snapshot.h"
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <functional>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -11,6 +11,8 @@
 #include "kg/kg_io.h"
 #include "la/matrix_io.h"
 #include "util/check.h"
+#include "util/file.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 #include "util/string_util.h"
 #include "util/tsv.h"
@@ -18,29 +20,31 @@
 namespace exea::serve {
 namespace {
 
-// Payload files, relative to the bundle root, in manifest order. The
-// relation-embedding pair is appended only when present.
+// Payload files, relative to the bundle root, in manifest order.
 const char* const kDictionaryFiles[] = {
     "kg1_entities.tsv", "kg1_relations.tsv", "kg2_entities.tsv",
     "kg2_relations.tsv"};
 const char* const kDatasetFiles[] = {
     "dataset/kg1_triples.tsv", "dataset/kg2_triples.tsv",
     "dataset/train_links.tsv", "dataset/test_links.tsv"};
-const char* const kOptionalDatasetFiles[] = {"dataset/attr_triples_1.tsv",
-                                             "dataset/attr_triples_2.tsv"};
+// Indexed by kg::KgSide, like the two halves of kDictionaryFiles.
+const char* const kAttributeFiles[] = {"dataset/attr_triples_1.tsv",
+                                       "dataset/attr_triples_2.tsv"};
 
 std::string ManifestPath(const std::string& dir) { return dir + "/MANIFEST"; }
 
 const char kIndexFileName[] = "index.ivf";
 
-// The payload files this bundle actually contains, in deterministic order.
+// The payload files of a bundle frozen with `meta`, in manifest order.
+// Attribute files are the only optional payloads: `attributes[side]`
+// says whether that KG's file is part of the bundle.
 std::vector<std::string> PayloadFiles(const SnapshotMeta& meta,
-                                      const std::string& dir) {
+                                      const bool (&attributes)[2]) {
   std::vector<std::string> files;
   for (const char* f : kDictionaryFiles) files.push_back(f);
   for (const char* f : kDatasetFiles) files.push_back(f);
-  for (const char* f : kOptionalDatasetFiles) {
-    if (std::filesystem::exists(dir + "/" + f)) files.push_back(f);
+  for (int side = 0; side < 2; ++side) {
+    if (attributes[side]) files.push_back(kAttributeFiles[side]);
   }
   files.push_back("emb_ent1.txt");
   files.push_back("emb_ent2.txt");
@@ -56,6 +60,75 @@ std::vector<std::string> PayloadFiles(const SnapshotMeta& meta,
   EXEA_DCHECK_EQ(std::set<std::string>(files.begin(), files.end()).size(),
                  files.size());
   return files;
+}
+
+// Runs every task on the worker pool and returns the first failure in
+// task order, whichever task finished first.
+Status RunInOrder(const std::vector<std::function<Status()>>& tasks) {
+  std::vector<Status> results(tasks.size());
+  util::ParallelFor(0, tasks.size(), 1,
+                    [&](size_t i) { results[i] = tasks[i](); });
+  for (Status& result : results) {
+    if (!result.ok()) return std::move(result);
+  }
+  return Status::Ok();
+}
+
+// Verified payload bytes by file name. Each parse task moves its bytes
+// out with Take, so they are freed as soon as that parse returns. Tasks
+// take distinct files and nothing is inserted once the tasks start, so
+// they may run concurrently.
+class VerifiedPayloads {
+ public:
+  void Put(const std::string& file, std::string bytes) {
+    bytes_.emplace(file, std::move(bytes));
+  }
+  bool Has(const std::string& file) const { return bytes_.count(file) > 0; }
+  std::string Take(const std::string& file) {
+    return std::move(bytes_.at(file));
+  }
+
+ private:
+  std::map<std::string, std::string> bytes_;
+};
+
+// Phase 2's task for one KG: its two dictionaries, then
+// data::BuildGraph over its triples and, when listed, its attributes.
+Status LoadGraph(const std::string& dir, kg::KgSide side,
+                 VerifiedPayloads& payloads, data::EaDataset& dataset) {
+  int index = static_cast<int>(side);
+  data::DatasetDictionaries dicts;
+  std::vector<std::string>& entities =
+      index == 0 ? dicts.entities1 : dicts.entities2;
+  std::vector<std::string>& relations =
+      index == 0 ? dicts.relations1 : dicts.relations2;
+  for (auto [names, file] : {std::pair{&entities, kDictionaryFiles[2 * index]},
+                             {&relations, kDictionaryFiles[2 * index + 1]}}) {
+    auto parsed =
+        kg::ParseDictionaryNames(payloads.Take(file), dir + "/" + file);
+    if (!parsed.ok()) return parsed.status();
+    *names = std::move(*parsed);
+  }
+  std::string attributes;
+  bool has_attributes = payloads.Has(kAttributeFiles[index]);
+  if (has_attributes) attributes = payloads.Take(kAttributeFiles[index]);
+  return data::BuildGraph(dir + "/dataset", side,
+                          payloads.Take(kDatasetFiles[index]),
+                          has_attributes ? &attributes : nullptr, &dicts,
+                          dataset);
+}
+
+// A task that parses one payload with `parse` into `*out`.
+template <typename T, typename Parse>
+std::function<Status()> ParseTask(const std::string& dir, const char* file,
+                                  VerifiedPayloads& payloads, Parse parse,
+                                  T* out) {
+  return [&dir, file, &payloads, parse, out]() -> Status {
+    StatusOr<T> parsed = parse(payloads.Take(file), dir + "/" + file);
+    if (!parsed.ok()) return parsed.status();
+    *out = std::move(*parsed);
+    return Status::Ok();
+  };
 }
 
 Status CheckConsistency(const SnapshotBundle& bundle) {
@@ -87,20 +160,19 @@ Status CheckConsistency(const SnapshotBundle& bundle) {
 
 }  // namespace
 
-StatusOr<uint64_t> ChecksumFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for checksum: " + path);
+uint64_t ChecksumBytes(std::string_view bytes) {
   uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a 64 offset basis
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    std::streamsize n = in.gcount();
-    for (std::streamsize i = 0; i < n; ++i) {
-      hash ^= static_cast<unsigned char>(buffer[i]);
-      hash *= 0x100000001B3ULL;  // FNV prime
-    }
-    if (n < static_cast<std::streamsize>(sizeof(buffer))) break;
+  for (char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;  // FNV prime
   }
   return hash;
+}
+
+StatusOr<uint64_t> ChecksumFile(const std::string& path) {
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return ChecksumBytes(*bytes);
 }
 
 Status WriteSnapshot(const SnapshotBundle& bundle, const std::string& dir) {
@@ -156,7 +228,9 @@ Status WriteSnapshot(const SnapshotBundle& bundle, const std::string& dir) {
                   bundle.meta.has_relation_embeddings ? "1" : "0"});
   rows.push_back({"repair", bundle.meta.has_repair ? "1" : "0"});
   rows.push_back({"index", bundle.meta.index});
-  for (const std::string& file : PayloadFiles(bundle.meta, dir)) {
+  const bool attributes[2] = {bundle.dataset.attrs1.num_triples() > 0,
+                              bundle.dataset.attrs2.num_triples() > 0};
+  for (const std::string& file : PayloadFiles(bundle.meta, attributes)) {
     auto checksum = ChecksumFile(dir + "/" + file);
     if (!checksum.ok()) return checksum.status();
     rows.push_back({"file", file, StrFormat("%016llx",
@@ -176,7 +250,11 @@ StatusOr<std::unique_ptr<SnapshotBundle>> ReadSnapshot(
   auto bundle = std::make_unique<SnapshotBundle>();
   SnapshotMeta& meta = bundle->meta;
   meta.format_version = -1;
-  std::vector<std::pair<std::string, uint64_t>> checksums;
+  struct Listed {
+    std::string file;
+    uint64_t checksum;
+  };
+  std::vector<Listed> listed;
   for (const auto& row : *manifest) {
     const std::string& key = row[0];
     if (key == "exea_snapshot_version") {
@@ -215,7 +293,7 @@ StatusOr<std::unique_ptr<SnapshotBundle>> ReadSnapshot(
             "malformed checksum in MANIFEST (" + parsed.message() +
             "): " + dir);
       }
-      checksums.emplace_back(row[1], checksum);
+      listed.push_back({row[1], checksum});
     }
     // Unknown keys are ignored: minor-version additions stay readable.
   }
@@ -225,65 +303,89 @@ StatusOr<std::unique_ptr<SnapshotBundle>> ReadSnapshot(
         "snapshot format version %d, this build reads version %d: %s",
         meta.format_version, kSnapshotFormatVersion, dir.c_str()));
   }
-  if (checksums.empty()) {
+  if (listed.empty()) {
     return Status::InvalidArgument("MANIFEST lists no payload files: " + dir);
   }
-  for (const auto& [file, expected] : checksums) {
-    auto actual = ChecksumFile(dir + "/" + file);
-    if (!actual.ok()) return actual.status();
-    if (*actual != expected) {
+  // Only listed files are verified, so only listed files are parsed.
+  // keep[i]: listing i is the first of a file that a parse below reads.
+  std::vector<std::string> parsed = PayloadFiles(meta, {true, true});
+  std::set<std::string> unlisted(parsed.begin(), parsed.end());
+  std::vector<bool> keep(listed.size());
+  for (size_t i = 0; i < listed.size(); ++i) {
+    keep[i] = unlisted.erase(listed[i].file) > 0;
+  }
+  // A required payload the MANIFEST leaves out fails before any read.
+  for (const std::string& file : PayloadFiles(meta, {false, false})) {
+    if (unlisted.count(file) > 0) {
       return Status::InvalidArgument(
-          StrFormat("checksum mismatch (corrupt bundle): %s/%s", dir.c_str(),
-                    file.c_str()));
+          StrFormat("MANIFEST does not list required payload %s: %s",
+                    file.c_str(), dir.c_str()));
     }
   }
 
-  // Dictionaries → id-stable dataset load.
-  data::DatasetDictionaries dicts;
-  for (auto& [names, file] :
-       {std::pair<std::vector<std::string>*, const char*>{
-            &dicts.entities1, "kg1_entities.tsv"},
-        {&dicts.relations1, "kg1_relations.tsv"},
-        {&dicts.entities2, "kg2_entities.tsv"},
-        {&dicts.relations2, "kg2_relations.tsv"}}) {
-    auto loaded = kg::LoadDictionaryNames(dir + "/" + file);
-    if (!loaded.ok()) return loaded.status();
-    *names = std::move(*loaded);
+  // Phase 1: read every listed file once and check its checksum on those
+  // bytes, all files at once; the first failure in MANIFEST order is the
+  // answer. Bytes no parse reads are dropped here.
+  std::vector<std::string> bytes(listed.size());
+  std::vector<std::function<Status()>> verify;
+  for (size_t i = 0; i < listed.size(); ++i) {
+    verify.push_back([&, i]() -> Status {
+      auto read = ReadFile(dir + "/" + listed[i].file);
+      if (!read.ok()) return read.status();
+      if (ChecksumBytes(*read) != listed[i].checksum) {
+        return Status::InvalidArgument(
+            StrFormat("checksum mismatch (corrupt bundle): %s/%s",
+                      dir.c_str(), listed[i].file.c_str()));
+      }
+      if (keep[i]) bytes[i] = std::move(*read);
+      return Status::Ok();
+    });
   }
-  auto dataset =
-      data::LoadDataset(dir + "/dataset", meta.dataset_name, dicts);
-  if (!dataset.ok()) return dataset.status();
-  bundle->dataset = std::move(*dataset);
+  EXEA_RETURN_IF_ERROR(RunInOrder(verify));
+  VerifiedPayloads payloads;
+  for (size_t i = 0; i < listed.size(); ++i) {
+    if (keep[i]) payloads.Put(listed[i].file, std::move(bytes[i]));
+  }
 
-  auto emb1 = la::LoadMatrix(dir + "/emb_ent1.txt");
-  if (!emb1.ok()) return emb1.status();
-  bundle->emb1 = std::move(*emb1);
-  auto emb2 = la::LoadMatrix(dir + "/emb_ent2.txt");
-  if (!emb2.ok()) return emb2.status();
-  bundle->emb2 = std::move(*emb2);
+  // Phase 2: the parses that need one payload, or one KG's payloads,
+  // as independent tasks, the two graphs first since they take longest.
+  SnapshotBundle& out = *bundle;
+  out.dataset.name = meta.dataset_name;
+  std::vector<std::function<Status()>> parse = {
+      [&] {
+        return LoadGraph(dir, kg::KgSide::kSource, payloads, out.dataset);
+      },
+      [&] {
+        return LoadGraph(dir, kg::KgSide::kTarget, payloads, out.dataset);
+      },
+      ParseTask(dir, "emb_ent1.txt", payloads, la::ParseMatrix, &out.emb1),
+      ParseTask(dir, "emb_ent2.txt", payloads, la::ParseMatrix, &out.emb2)};
   if (meta.has_relation_embeddings) {
-    auto rel1 = la::LoadMatrix(dir + "/emb_rel1.txt");
-    if (!rel1.ok()) return rel1.status();
-    bundle->rel1 = std::move(*rel1);
-    auto rel2 = la::LoadMatrix(dir + "/emb_rel2.txt");
-    if (!rel2.ok()) return rel2.status();
-    bundle->rel2 = std::move(*rel2);
+    parse.push_back(
+        ParseTask(dir, "emb_rel1.txt", payloads, la::ParseMatrix, &out.rel1));
+    parse.push_back(
+        ParseTask(dir, "emb_rel2.txt", payloads, la::ParseMatrix, &out.rel2));
   }
-
-  auto alignment = kg::LoadAlignment(dir + "/alignment.tsv",
-                                     bundle->dataset.kg1, bundle->dataset.kg2);
-  if (!alignment.ok()) return alignment.status();
-  bundle->alignment = std::move(*alignment);
-  auto repaired = kg::LoadAlignment(dir + "/repaired.tsv",
-                                    bundle->dataset.kg1, bundle->dataset.kg2);
-  if (!repaired.ok()) return repaired.status();
-  bundle->repaired = std::move(*repaired);
-
   if (meta.index == "ivf") {
-    auto ivf = la::LoadIvfIndexData(dir + "/" + kIndexFileName);
-    if (!ivf.ok()) return ivf.status();
-    bundle->ivf = std::move(*ivf);
+    parse.push_back(ParseTask(dir, kIndexFileName, payloads,
+                              la::ParseIvfIndexData, &out.ivf));
   }
+  EXEA_RETURN_IF_ERROR(RunInOrder(parse));
+
+  // Phase 3: the four link files, which resolve names in both graphs.
+  auto parse_alignment = [&](std::string_view text, const std::string& name) {
+    return kg::ParseAlignment(text, name, out.dataset.kg1, out.dataset.kg2);
+  };
+  EXEA_RETURN_IF_ERROR(RunInOrder({
+      [&] {
+        return data::LinkDataset(dir + "/dataset",
+                                 payloads.Take(kDatasetFiles[2]),
+                                 payloads.Take(kDatasetFiles[3]), out.dataset);
+      },
+      ParseTask(dir, "alignment.tsv", payloads, parse_alignment,
+                &out.alignment),
+      ParseTask(dir, "repaired.tsv", payloads, parse_alignment, &out.repaired),
+  }));
 
   // CheckConsistency also validates the loaded index against emb2, so a
   // checksum-intact but structurally hostile index.ivf is rejected here

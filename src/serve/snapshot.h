@@ -38,8 +38,10 @@
 #ifndef EXEA_SERVE_SNAPSHOT_H_
 #define EXEA_SERVE_SNAPSHOT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "data/dataset.h"
 #include "emb/model.h"
@@ -85,7 +87,10 @@ struct SnapshotBundle {
   la::IvfIndexData ivf;
 };
 
-// FNV-1a 64 over a file's raw bytes (the MANIFEST checksum primitive).
+// FNV-1a 64 over raw bytes, the MANIFEST checksum.
+uint64_t ChecksumBytes(std::string_view bytes);
+
+// ReadFile plus ChecksumBytes; IO_ERROR if the file cannot be read.
 [[nodiscard]] StatusOr<uint64_t> ChecksumFile(const std::string& path);
 
 // Writes `bundle` into `dir`, creating the directory tree. Overwrites an
@@ -97,6 +102,14 @@ Status WriteSnapshot(const SnapshotBundle& bundle, const std::string& dir);
 // Reads a bundle back, verifying the format version and every checksum
 // before any payload is interpreted. Heap-allocated because the engine
 // keeps borrowed pointers into the bundle, which must stay put.
+//
+// Runs on the util::ParallelFor pool in three phases: read and verify
+// every file the MANIFEST lists; parse each KG and each table as its own
+// task; then parse the link files, which need both graphs. Only listed
+// files are parsed: a required payload the MANIFEST leaves out is
+// INVALID_ARGUMENT, and the attribute files load only when listed. The
+// answer, error or bundle, does not depend on the thread count: each
+// phase reports the first failure in its fixed task order.
 [[nodiscard]] StatusOr<std::unique_ptr<SnapshotBundle>> ReadSnapshot(
     const std::string& dir);
 

@@ -8,12 +8,10 @@
 
 namespace exea {
 
-StatusOr<std::vector<std::vector<std::string>>> ReadTsv(
-    const std::string& path, size_t min_fields) {
-  auto text = ReadFile(path);
-  if (!text.ok()) return text.status();
-  std::vector<std::vector<std::string>> rows;
-  std::string_view rest = *text;
+StatusOr<TsvRows> SplitTsv(std::string_view text, size_t min_fields,
+                           const std::string& name) {
+  TsvRows rows;
+  std::string_view rest = text;
   size_t line_no = 0;
   while (!rest.empty()) {
     size_t newline = rest.find('\n');
@@ -23,14 +21,36 @@ StatusOr<std::vector<std::vector<std::string>>> ReadTsv(
     ++line_no;
     std::string_view trimmed = Trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
-    std::vector<std::string> fields = Split(trimmed, '\t');
-    if (fields.size() < min_fields) {
+    size_t first = rows.fields.size();
+    for (size_t start = 0;;) {
+      size_t tab = trimmed.find('\t', start);
+      rows.fields.push_back(trimmed.substr(start, tab - start));
+      if (tab == std::string_view::npos) break;
+      start = tab + 1;
+    }
+    size_t fields = rows.fields.size() - first;
+    if (fields < min_fields) {
       std::ostringstream msg;
-      msg << path << ":" << line_no << ": expected at least " << min_fields
-          << " fields, got " << fields.size();
+      msg << name << ":" << line_no << ": expected at least " << min_fields
+          << " fields, got " << fields;
       return Status::InvalidArgument(msg.str());
     }
-    rows.push_back(std::move(fields));
+    rows.row_ends.push_back(rows.fields.size());
+  }
+  return rows;
+}
+
+StatusOr<std::vector<std::vector<std::string>>> ReadTsv(
+    const std::string& path, size_t min_fields) {
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  auto split = SplitTsv(*text, min_fields, path);
+  if (!split.ok()) return split.status();
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(split->size());
+  for (size_t r = 0; r < split->size(); ++r) {
+    std::span<const std::string_view> fields = (*split)[r];
+    rows.emplace_back(fields.begin(), fields.end());
   }
   return rows;
 }

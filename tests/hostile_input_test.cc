@@ -31,6 +31,7 @@
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "util/parallel.h"
 #include "util/status.h"
 
 namespace exea {
@@ -106,13 +107,18 @@ serve::SnapshotBundle MakeTinyBundle() {
 
 // One parsed .recipe file: leading '#' lines are comments, the first
 // non-comment line is "<op> <args...>", everything after that line is the
-// verbatim replacement content (for replace / replace-rechecksum).
+// verbatim replacement content (for replace / replace-rechecksum). One
+// comment line is "# expect: <CODE> <file>": the Status code ReadSnapshot
+// must return, and the bundle file its message must name ("-" when it
+// names none).
 struct Recipe {
   std::string name;
   std::string op;
   std::string arg_path;   // payload path relative to the bundle root
   std::string arg_extra;  // keep-bytes / offset / append text
   std::string content;
+  std::string expect_code;
+  std::string expect_file;
 };
 
 Recipe ParseRecipe(const fs::path& path) {
@@ -125,7 +131,16 @@ Recipe ParseRecipe(const fs::path& path) {
     if (eol == std::string::npos) eol = bytes.size();
     std::string line = bytes.substr(pos, eol - pos);
     pos = eol + 1;
-    if (line.empty() || line[0] == '#') continue;
+    if (line.empty()) continue;
+    if (line[0] == '#') {
+      std::istringstream comment(line);
+      std::string hash, tag;
+      comment >> hash >> tag;
+      if (tag == "expect:") {
+        comment >> recipe.expect_code >> recipe.expect_file;
+      }
+      continue;
+    }
     std::istringstream tokens(line);
     tokens >> recipe.op >> recipe.arg_path;
     std::getline(tokens, recipe.arg_extra);
@@ -137,6 +152,7 @@ Recipe ParseRecipe(const fs::path& path) {
     break;
   }
   EXPECT_FALSE(recipe.op.empty()) << "no operation line in " << path;
+  EXPECT_FALSE(recipe.expect_file.empty()) << "no expect line in " << path;
   return recipe;
 }
 
@@ -197,6 +213,15 @@ void ApplyRecipe(const std::string& dir, const Recipe& recipe) {
     if (eol == std::string::npos) eol = bytes.size();
     bytes.insert(eol, suffix);
     WriteFileBytes(target, bytes);
+  } else if (recipe.op == "unlist") {
+    // Drop the MANIFEST's checksum line for <relpath>; the file stays.
+    std::string manifest = ReadFileBytes(dir + "/MANIFEST");
+    size_t at = manifest.find("\nfile\t" + recipe.arg_path + "\t");
+    ASSERT_NE(at, std::string::npos) << recipe.name << ": not listed";
+    size_t eol = manifest.find('\n', at + 1);
+    ASSERT_NE(eol, std::string::npos);
+    manifest.erase(at + 1, eol - at);
+    WriteFileBytes(dir + "/MANIFEST", manifest);
   } else if (recipe.op == "replace") {
     WriteFileBytes(target, recipe.content);
   } else if (recipe.op == "replace-rechecksum") {
@@ -264,6 +289,12 @@ TEST_F(HostileInputTest, EverySnapshotRecipeIsRejected) {
 
   std::string clean = Scratch("recipe_clean");
   ASSERT_TRUE(serve::WriteSnapshot(MakeTinyBundle(), clean).ok());
+  std::vector<std::string> bundle_files;
+  for (const auto& entry : fs::recursive_directory_iterator(clean)) {
+    if (entry.is_regular_file()) {
+      bundle_files.push_back(fs::relative(entry.path(), clean).string());
+    }
+  }
 
   for (const fs::path& path : recipes) {
     Recipe recipe = ParseRecipe(path);
@@ -272,8 +303,29 @@ TEST_F(HostileInputTest, EverySnapshotRecipeIsRejected) {
     ApplyRecipe(dir, recipe);
     if (HasFatalFailure()) return;  // corpus itself is broken; stop early
     auto bundle = serve::ReadSnapshot(dir);
-    EXPECT_FALSE(bundle.ok())
-        << recipe.name << ": corrupted bundle loaded successfully";
+    if (bundle.ok()) {
+      ADD_FAILURE() << recipe.name << ": corrupted bundle loaded successfully";
+      continue;
+    }
+    // The same answer as the serial loader the expectations were
+    // recorded from, whatever order the parallel tasks finish in.
+    const Status& status = bundle.status();
+    EXPECT_EQ(StatusCodeName(status.code()), recipe.expect_code)
+        << recipe.name << ": " << status.ToString();
+    const std::string& message = status.message();
+    if (recipe.expect_file != "-") {
+      EXPECT_NE(message.find(recipe.expect_file), std::string::npos)
+          << recipe.name << ": " << status.ToString();
+    }
+    // No other payload is named; the MANIFEST may be, beside a payload.
+    for (const std::string& file : bundle_files) {
+      if (file == recipe.expect_file ||
+          (file == "MANIFEST" && recipe.expect_file != "-")) {
+        continue;
+      }
+      EXPECT_EQ(message.find(file), std::string::npos)
+          << recipe.name << ": " << status.ToString();
+    }
   }
 }
 
@@ -315,6 +367,48 @@ TEST_F(HostileInputTest, CorruptSwapTargetNeverReplacesTheServingVersion) {
   }
   EXPECT_EQ(registry.CounterValue("serve.snapshot.swaps"), 0u);
   EXPECT_EQ(registry.CounterValue("serve.explain_cache.invalidations"), 0u);
+}
+
+// Two payloads that both fail to parse, in different phase-2 tasks: the
+// answer is the earlier task's failure (KG2's triples before the first
+// entity table) at every thread count, however the tasks interleave.
+TEST_F(HostileInputTest, TwoBadPayloadsReportTheFirstInTaskOrder) {
+  std::string dir = Scratch("two_bad");
+  ASSERT_TRUE(serve::WriteSnapshot(MakeTinyBundle(), dir).ok());
+  WriteFileBytes(dir + "/emb_ent1.txt", "not a matrix\n");
+  RecomputeManifestChecksum(dir, "emb_ent1.txt");
+  WriteFileBytes(dir + "/dataset/kg2_triples.tsv", "only\ttwo\n");
+  RecomputeManifestChecksum(dir, "dataset/kg2_triples.tsv");
+  if (HasFatalFailure()) return;
+  struct ResetThreads {
+    ~ResetThreads() { util::SetThreadCount(0); }
+  } reset;
+  for (size_t threads : {1, 2, 8}) {
+    util::SetThreadCount(threads);
+    for (int rep = 0; rep < 5; ++rep) {
+      auto bundle = serve::ReadSnapshot(dir);
+      ASSERT_FALSE(bundle.ok());
+      EXPECT_EQ(bundle.status().message(),
+                dir + "/dataset/kg2_triples.tsv:1: expected at least 3 "
+                      "fields, got 2")
+          << threads << " threads";
+    }
+  }
+}
+
+// A payload that exists but cannot be read is an IO error naming it, not
+// a checksum mismatch over the bytes that could be read.
+TEST_F(HostileInputTest, UnreadablePayloadIsAnIoError) {
+  std::string dir = Scratch("unreadable");
+  ASSERT_TRUE(serve::WriteSnapshot(MakeTinyBundle(), dir).ok());
+  ASSERT_TRUE(fs::remove(dir + "/alignment.tsv"));
+  ASSERT_TRUE(fs::create_directory(dir + "/alignment.tsv"));
+  auto bundle = serve::ReadSnapshot(dir);
+  ASSERT_FALSE(bundle.ok());
+  EXPECT_EQ(bundle.status().code(), StatusCode::kIoError)
+      << bundle.status().ToString();
+  EXPECT_NE(bundle.status().message().find("alignment.tsv"),
+            std::string::npos);
 }
 
 TEST_F(HostileInputTest, EveryNdjsonEntryAnswersWithAnError) {

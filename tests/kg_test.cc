@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 
@@ -15,6 +16,7 @@
 #include "kg/kg_io.h"
 #include "kg/neighborhood.h"
 #include "kg/stats.h"
+#include "util/rng.h"
 #include "util/tsv.h"
 
 namespace exea::kg {
@@ -180,6 +182,51 @@ TEST(FunctionalityTest, UnusedRelationIsZero) {
   g.AddRelation("unused");
   RelationFunctionality f(g);
   EXPECT_EQ(f.Func(g.FindRelation("unused")), 0.0);
+}
+
+// Random graphs with self-loops, repeated heads and tails, and relations
+// that never occur: the stamp-based counts give exactly the doubles of a
+// hash-set count of distinct heads and tails.
+TEST(FunctionalityTest, MatchesHashSetReferenceOnRandomGraphs) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    KnowledgeGraph g;
+    size_t entities = 1 + rng.UniformInt(12);
+    size_t relations = 1 + rng.UniformInt(6);
+    for (size_t e = 0; e < entities; ++e) g.AddEntity("e" + std::to_string(e));
+    for (size_t r = 0; r < relations; ++r) {
+      g.AddRelation("r" + std::to_string(r));
+    }
+    size_t triples = rng.UniformInt(60);
+    for (size_t i = 0; i < triples; ++i) {
+      EntityId head = static_cast<EntityId>(rng.UniformInt(entities));
+      // Relation 0 only ever forms self-loops; the last relation gets no
+      // triples unless it is also relation 0.
+      RelationId rel =
+          static_cast<RelationId>(rng.UniformInt(std::max<size_t>(
+              1, relations - 1)));
+      EntityId tail = rel == 0 ? head
+                               : static_cast<EntityId>(
+                                     rng.UniformInt(entities));
+      g.AddTriple(head, rel, tail);
+    }
+    RelationFunctionality f(g);
+    ASSERT_EQ(f.num_relations(), relations);
+    for (RelationId r = 0; r < relations; ++r) {
+      std::set<EntityId> heads;
+      std::set<EntityId> tails;
+      for (uint32_t idx : g.TriplesOfRelation(r)) {
+        heads.insert(g.triples()[idx].head);
+        tails.insert(g.triples()[idx].tail);
+      }
+      double n = static_cast<double>(g.TriplesOfRelation(r).size());
+      double func = n == 0 ? 0.0 : static_cast<double>(heads.size()) / n;
+      double ifunc = n == 0 ? 0.0 : static_cast<double>(tails.size()) / n;
+      EXPECT_EQ(f.Func(r), func) << "seed " << seed << " relation " << r;
+      EXPECT_EQ(f.InverseFunc(r), ifunc)
+          << "seed " << seed << " relation " << r;
+    }
+  }
 }
 
 // ------------------------------------------------------------- Neighborhood

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -36,6 +37,7 @@
 #include "serve/explain_cache.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "util/parallel.h"
 #include "util/string_util.h"
 
 namespace exea {
@@ -257,6 +259,76 @@ TEST_F(ServeTest, MissingManifestIsNotABundle) {
   auto loaded = serve::ReadSnapshot((dir_ / "nothing_here").string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+// Every regular file under `dir`, by path relative to it.
+std::map<std::string, std::string> TreeBytes(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    files[std::filesystem::relative(entry.path(), dir).string()] =
+        bytes.str();
+  }
+  return files;
+}
+
+// The parallel loader builds the same bundle at every thread count: a
+// re-freeze of what it loaded is byte-identical to the source, which pins
+// the order of dictionaries, triples, attributes and links as well as
+// the bits of every table.
+TEST_F(ServeTest, ReadSnapshotIsThreadCountInvariant) {
+  struct ResetThreads {
+    ~ResetThreads() { util::SetThreadCount(0); }
+  } reset;
+  std::string source = WriteIvfBundle();
+  std::map<std::string, std::string> expected = TreeBytes(source);
+  // Every optional payload is part of the comparison.
+  for (const char* file :
+       {"dataset/attr_triples_1.tsv", "dataset/attr_triples_2.tsv",
+        "emb_rel1.txt", "emb_rel2.txt", "index.ivf"}) {
+    ASSERT_EQ(expected.count(file), 1u) << file;
+  }
+  for (size_t threads : {1, 2, 8}) {
+    util::SetThreadCount(threads);
+    auto loaded = serve::ReadSnapshot(source);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::string refrozen =
+        (dir_ / ("refrozen_" + std::to_string(threads))).string();
+    ASSERT_TRUE(serve::WriteSnapshot(**loaded, refrozen).ok());
+    std::map<std::string, std::string> actual = TreeBytes(refrozen);
+    ASSERT_EQ(actual.size(), expected.size()) << threads << " threads";
+    for (const auto& [file, bytes] : expected) {
+      EXPECT_TRUE(actual[file] == bytes) << file << " at " << threads
+                                         << " threads";
+    }
+  }
+}
+
+// Re-freezing into the same directory from a dataset without attributes
+// must not list (or load) the attribute files the first freeze left.
+TEST_F(ServeTest, RefreezeWithoutAttributesListsNoAttributeFiles) {
+  serve::SnapshotBundle bundle = Pipeline().MakeBundle();
+  ASSERT_GT(bundle.dataset.attrs1.num_triples(), 0u);
+  ASSERT_GT(bundle.dataset.attrs2.num_triples(), 0u);
+  std::string bundle_dir = (dir_ / "bundle").string();
+  ASSERT_TRUE(serve::WriteSnapshot(bundle, bundle_dir).ok());
+  bundle.dataset.attrs1 = kg::AttributeStore();
+  bundle.dataset.attrs2 = kg::AttributeStore();
+  ASSERT_TRUE(serve::WriteSnapshot(bundle, bundle_dir).ok());
+
+  std::ifstream in(bundle_dir + "/MANIFEST");
+  std::stringstream manifest;
+  manifest << in.rdbuf();
+  EXPECT_EQ(manifest.str().find("attr_triples"), std::string::npos)
+      << manifest.str();
+  auto loaded = serve::ReadSnapshot(bundle_dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->dataset.attrs1.num_triples(), 0u);
+  EXPECT_EQ((*loaded)->dataset.attrs2.num_triples(), 0u);
 }
 
 // ---------------------------------------------------------------- engine
