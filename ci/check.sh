@@ -14,9 +14,10 @@
 #      when a clang-tidy binary is on PATH,
 #   3. bench-load smoke: generate a tiny dataset, freeze a snapshot, and
 #      drive the async serving core with 8 concurrent clients, once in
-#      lockstep and once with 8 requests in flight per connection — the
-#      run fails on any malformed or dropped response (exea_cli bench-load
-#      exits non-zero),
+#      lockstep and once with 8 requests in flight per connection, then
+#      twice more while a second bundle is swapped in and out (mixed ops,
+#      then aligns alone) — the run fails on any malformed or dropped
+#      response or failed swap (exea_cli bench-load exits non-zero),
 #   4. e2ebench: build the end-to-end benchmark from source and run its
 #      self-tests in reduced mode (python3 e2ebench/test_e2ebench.py) —
 #      the benchmark compiles against the serving API, so an edit there
@@ -28,8 +29,12 @@
 #      ConcurrentColdExplainsMatchSerial), the serving engine's shared
 #      LRU cache / async request path / snapshot hot-swap churn
 #      (serve_test, incl. SwapChurnWhileAlignsStayInFlight,
-#      ConcurrentAlignsMatchHandleLine and
-#      HotSwapUnderConcurrentLoadDropsNothing), the SIMD kernels under
+#      ConcurrentAlignsMatchHandleLine,
+#      HotSwapUnderConcurrentLoadDropsNothing and the align memo's racing
+#      cold fills, ConcurrentColdAlignsMatchSerial), the event loop's
+#      fairness and backpressure under a flooding or non-reading peer
+#      (net_test, BlankLineFloodDoesNotStarveOtherConnections and
+#      PeerThatNeverReadsStopsBeingRead), the SIMD kernels under
 #      the parallel similarity scans (simd_test), the exact and IVF
 #      indexes queried from pool workers (index_test), and the snapshot
 #      loader's error paths on pool threads (hostile_input_test: every
@@ -94,6 +99,12 @@ mkdir -p "${SMOKE_DIR}/data"
   --epochs 12 --out "${SMOKE_DIR}/bundle_alt"
 ./build/tools/exea_cli bench-load --bundle "${SMOKE_DIR}/bundle" \
   --clients 8 --requests 25 --op mixed \
+  --swap-bundle "${SMOKE_DIR}/bundle_alt" --swaps 5
+# Align-only churn: every client repeats entities, so most aligns are
+# answered from the serving version's align memo, and the swaps land
+# between fills and hits of the same entity.
+./build/tools/exea_cli bench-load --bundle "${SMOKE_DIR}/bundle" \
+  --clients 8 --requests 1000 --op align \
   --swap-bundle "${SMOKE_DIR}/bundle_alt" --swaps 5
 
 echo "=== e2ebench: build + self-test (reduced mode) ==="

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <string_view>
 #include <utility>
 
 #include "net/socket_io.h"
@@ -97,10 +98,11 @@ void EventLoop::Run() {
       uint64_t tag = events[i].data.u64;
       if (tag == kWakeTag) {
         uint64_t drained;
-        // wake_fd_ is EFD_NONBLOCK; the drain loop ends on EAGAIN.
+        // wake_fd_ is EFD_NONBLOCK, and one read of a non-semaphore
+        // eventfd returns and clears its whole count.
         // exea-lint: allow(loop-blocking)
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
+        ssize_t ignored = ::read(wake_fd_, &drained, sizeof(drained));
+        (void)ignored;
         continue;  // mailbox handled below, once per wakeup batch
       }
       if (tag == kListenerTag) {
@@ -220,47 +222,40 @@ void EventLoop::HandleAccept() {
 void EventLoop::HandleReadable(Connection& conn) {
   uint64_t id = conn.id;
   char chunk[65536];
-  while (true) {
-    // conn.fd is non-blocking (accept4 SOCK_NONBLOCK); EAGAIN ends the
-    // read loop below instead of parking the thread.
+  // One read per readiness event: level-triggered epoll reports what is
+  // left on the next cycle, after every other ready connection has had
+  // its turn, so a peer that keeps its socket full cannot hold the loop.
+  ssize_t n;
+  do {
+    // conn.fd is non-blocking (accept4 SOCK_NONBLOCK); an empty socket
+    // answers EAGAIN instead of parking the thread.
     // exea-lint: allow(loop-blocking)
-    ssize_t n = ::read(conn.fd, chunk, sizeof(chunk));
-    if (n > 0) {
-      conn.in_buf.append(chunk, static_cast<size_t>(n));
-      ExtractLines(conn);
-      if (conns_.find(id) == conns_.end()) return;  // handler closed it
-      continue;
-    }
-    if (n == 0) {
-      conn.peer_eof = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseConn(id);  // ECONNRESET and friends
+    n = ::read(conn.fd, chunk, sizeof(chunk));
+  } while (n < 0 && errno == EINTR);
+  if (n > 0) {
+    conn.in_buf.append(chunk, static_cast<size_t>(n));
+    ExtractLines(conn);
     return;
   }
-  CloseIfFinished(id);
+  if (n == 0) {
+    conn.peer_eof = true;
+    UpdateInterest(conn);  // nothing more to read
+    CloseIfFinished(id);
+    return;
+  }
+  if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+  CloseConn(id);  // ECONNRESET and friends
 }
 
 void EventLoop::ExtractLines(Connection& conn) {
+  // Lines are consumed by offset and the buffer is compacted once, so a
+  // read full of short lines costs linear time.
+  size_t start = 0;
   while (true) {
-    size_t nl = conn.in_buf.find('\n');
-    if (nl == std::string::npos) {
-      if (conn.discarding) {
-        conn.discarded += conn.in_buf.size();
-        conn.in_buf.clear();
-      } else if (conn.in_buf.size() > options_.max_line_bytes) {
-        // The line already exceeds the cap with no newline in sight:
-        // stop buffering, keep measuring (bounded memory, hostile peer).
-        conn.discarding = true;
-        conn.discarded = conn.in_buf.size();
-        conn.in_buf.clear();
-      }
-      return;
-    }
-    std::string text = conn.in_buf.substr(0, nl);
-    conn.in_buf.erase(0, nl + 1);
+    size_t nl = conn.in_buf.find('\n', start);
+    if (nl == std::string::npos) break;
+    std::string_view text(conn.in_buf.data() + start, nl - start);
+    start = nl + 1;
     Line line;
     line.conn = conn.id;
     if (conn.discarding) {
@@ -274,11 +269,22 @@ void EventLoop::ExtractLines(Connection& conn) {
     } else if (Trim(text).empty()) {
       continue;  // blank lines: skipped, unanswered (blocking-path parity)
     } else {
-      line.text = std::move(text);
+      line.text.assign(text);
     }
     line.seq = conn.next_seq++;
     lines_in_.Increment();
-    on_line_(line);
+    on_line_(std::move(line));
+  }
+  conn.in_buf.erase(0, start);
+  if (conn.discarding) {
+    conn.discarded += conn.in_buf.size();
+    conn.in_buf.clear();
+  } else if (conn.in_buf.size() > options_.max_line_bytes) {
+    // The line already exceeds the cap with no newline in sight: stop
+    // buffering, keep measuring (bounded memory, hostile peer).
+    conn.discarding = true;
+    conn.discarded = conn.in_buf.size();
+    conn.in_buf.clear();
   }
 }
 
@@ -323,11 +329,18 @@ bool EventLoop::FlushOut(Connection& conn) {
 }
 
 void EventLoop::UpdateInterest(Connection& conn) {
-  bool want_write = conn.out_pos < conn.out.size();
-  if (want_write == conn.want_write) return;
+  size_t unsent = conn.out.size() - conn.out_pos;
+  // A peer whose unsent responses exceed the line cap is not read until
+  // a flush brings them back under it: one value bounds a connection's
+  // buffered input and output alike.
+  bool want_read = !drained_ && !conn.peer_eof &&
+                   unsent <= options_.max_line_bytes;
+  bool want_write = unsent > 0;
+  if (want_read == conn.want_read && want_write == conn.want_write) return;
+  conn.want_read = want_read;
   conn.want_write = want_write;
   epoll_event ev{};
-  ev.events = (drained_ ? 0u : EPOLLIN) | (want_write ? EPOLLOUT : 0u);
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   ev.data.u64 = conn.id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -408,10 +421,7 @@ void EventLoop::ApplyDrain() {
     conn.peer_eof = true;
     conn.in_buf.clear();
     conn.discarding = false;
-    epoll_event ev{};
-    ev.events = conn.want_write ? EPOLLOUT : 0u;
-    ev.data.u64 = id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+    UpdateInterest(conn);
     CloseIfFinished(id);
   }
 }

@@ -22,6 +22,14 @@
 // without being buffered (bounded memory against a hostile peer) and
 // delivered as an `oversized` event carrying only its measured length.
 //
+// Fairness and backpressure: the loop reads a connection once per
+// readiness event (64 KiB at most) and lets level-triggered epoll report
+// the rest on a later cycle, so a peer that keeps its socket full cannot
+// hold the loop from the others. A connection whose unsent response bytes
+// exceed max_line_bytes is not read again until a flush brings them back
+// under, so a peer that never reads cannot grow server memory without
+// bound; the same cap bounds a connection's buffered input and output.
+//
 // Threading: Listen/Run/Stop-callbacks run on the loop thread; Send,
 // BeginDrain, and Stop are thread-safe and may be called from any thread
 // (they post through an eventfd-woken mailbox). The LineHandler runs on
@@ -48,7 +56,9 @@ namespace exea::net {
 
 struct EventLoopOptions {
   size_t max_connections = 256;
-  size_t max_line_bytes = 1 << 20;  // 1 MiB, matching the serving cap
+  // 1 MiB, matching the serving cap. Also the unsent-response bytes past
+  // which a connection stops being read.
+  size_t max_line_bytes = 1 << 20;
 
   // After Stop(), the loop keeps running up to this long to flush
   // pending response bytes to slow readers before closing them.
@@ -75,8 +85,9 @@ class EventLoop {
     size_t observed_bytes = 0;   // line length when oversized
   };
 
-  // Runs on the loop thread for every delivered line; must not block.
-  using LineHandler = std::function<void(const Line&)>;
+  // Runs on the loop thread for every delivered line, which it may move
+  // from; must not block.
+  using LineHandler = std::function<void(Line&&)>;
 
   EventLoop(const EventLoopOptions& options, LineHandler on_line);
   ~EventLoop();
@@ -121,6 +132,7 @@ class EventLoop {
     std::string out;                       // bytes awaiting the kernel
     size_t out_pos = 0;
     bool peer_eof = false;
+    bool want_read = true;                 // current EPOLLIN interest
     bool want_write = false;               // current EPOLLOUT interest
   };
 

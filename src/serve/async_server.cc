@@ -24,7 +24,7 @@ Status AsyncServer::Start(int port) {
   loop_options.registry = registry_;
   loop_ = std::make_unique<net::EventLoop>(
       loop_options,
-      [this](const net::EventLoop::Line& line) { OnLine(line); });
+      [this](net::EventLoop::Line&& line) { OnLine(std::move(line)); });
   Status listening = loop_->Listen(port);
   if (!listening.ok()) {
     loop_.reset();
@@ -40,7 +40,7 @@ Status AsyncServer::Start(int port) {
 
 int AsyncServer::port() const { return loop_ != nullptr ? loop_->port() : 0; }
 
-void AsyncServer::OnLine(const net::EventLoop::Line& line) {
+void AsyncServer::OnLine(net::EventLoop::Line&& line) {
   // Runs on the loop thread: admission decisions only, never work. Both
   // rejection paths reuse Server's renderers so bytes and counters match
   // the stdin path exactly.
@@ -52,7 +52,7 @@ void AsyncServer::OnLine(const net::EventLoop::Line& line) {
   Request request;
   request.conn = line.conn;
   request.seq = line.seq;
-  request.line = line.text;
+  request.line = std::move(line.text);
   request.deadline = Deadline(options_.server.deadline_seconds);
   if (!admission_queue_.TryPush(std::move(request))) {
     loop_->Send(line.conn, line.seq, server_.RejectQueueFull());

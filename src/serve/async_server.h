@@ -120,7 +120,7 @@ class AsyncServer {
     WallTimer queued;                      // measures the queue wait
   };
 
-  void OnLine(const net::EventLoop::Line& line);  // loop thread
+  void OnLine(net::EventLoop::Line&& line);  // loop thread
   void WorkerLoop();
   void TeardownOnce();
 

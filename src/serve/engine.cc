@@ -66,9 +66,9 @@ QueryEngine::QueryEngine(std::unique_ptr<SnapshotBundle> bundle,
 std::unique_ptr<const ServingState> QueryEngine::BuildState(
     std::unique_ptr<SnapshotBundle> bundle, std::string source) {
   bool use_ivf = UseIvf(options_.index_policy, *bundle);
-  return std::make_unique<ServingState>(std::move(bundle),
-                                        manager_.NextEpoch(),
-                                        std::move(source), use_ivf, registry_);
+  return std::make_unique<ServingState>(
+      std::move(bundle), manager_.NextEpoch(), std::move(source), use_ivf,
+      options_.top_k, registry_);
 }
 
 StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
@@ -184,22 +184,35 @@ StatusOr<std::vector<AlignResult>> QueryEngine::AlignBatch(
   }
   const SnapshotBundle& bundle = state->bundle();
 
-  // One batched top-k dispatch for all queries; the similarity kernel
-  // splits the query rows over the worker pool.
-  la::Matrix queries(ids->size(), bundle.emb1.cols());
+  // Each row's candidates come from the version's memo when an earlier
+  // align computed them. The misses go to one batched top-k, which the
+  // similarity kernel splits over the worker pool, and fill the memo.
+  std::vector<const std::vector<la::ScoredIndex>*> topk(ids->size());
+  std::vector<size_t> missed;
   for (size_t i = 0; i < ids->size(); ++i) {
-    // Resolved ids index the embedding table directly; snapshot-load
-    // consistency (rows == entity count) makes this hold WITHIN one
-    // pinned state, and a violation here would hand Row() out-of-table
-    // memory — always-on check.
+    // Resolved ids index the embedding table and the memo directly;
+    // snapshot-load consistency (rows == entity count) makes this hold
+    // WITHIN one pinned state, and a violation here would hand Row()
+    // out-of-table memory — always-on check.
     EXEA_CHECK_LT((*ids)[i], bundle.emb1.rows());
-    const float* row = bundle.emb1.Row((*ids)[i]);
-    std::copy(row, row + bundle.emb1.cols(), queries.Row(i));
+    topk[i] = state->MemoizedTopK((*ids)[i]);
+    if (topk[i] == nullptr) missed.push_back(i);
   }
-  std::vector<std::vector<la::ScoredIndex>> topk;
-  {
-    obs::Span span(registry_, "serve.align_topk");
-    topk = state->index().TopKAll(queries, options_.top_k);
+  std::vector<std::vector<la::ScoredIndex>> computed;
+  if (!missed.empty()) {
+    la::Matrix queries(missed.size(), bundle.emb1.cols());
+    for (size_t j = 0; j < missed.size(); ++j) {
+      const float* row = bundle.emb1.Row((*ids)[missed[j]]);
+      std::copy(row, row + bundle.emb1.cols(), queries.Row(j));
+    }
+    {
+      obs::Span span(registry_, "serve.align_topk");
+      computed = state->index().TopKAll(queries, state->top_k());
+    }
+    for (size_t j = 0; j < missed.size(); ++j) {
+      state->MemoizeTopK((*ids)[missed[j]], computed[j]);
+      topk[missed[j]] = &computed[j];
+    }
   }
 
   std::vector<AlignResult> results;
@@ -211,7 +224,8 @@ StatusOr<std::vector<AlignResult>> QueryEngine::AlignBatch(
     for (kg::EntityId target : bundle.repaired.TargetsOf((*ids)[i])) {
       result.aligned.push_back(bundle.dataset.kg2.EntityName(target));
     }
-    for (const la::ScoredIndex& candidate : topk[i]) {
+    result.candidates.reserve(topk[i]->size());
+    for (const la::ScoredIndex& candidate : *topk[i]) {
       result.candidates.emplace_back(
           bundle.dataset.kg2.EntityName(candidate.index),
           static_cast<double>(candidate.score));

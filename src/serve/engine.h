@@ -3,10 +3,12 @@
 // per-entity / per-pair queries against the frozen pipeline state:
 //
 //   align(e)          — served alignment of a source entity plus the top-k
-//                       embedding-similarity candidates (batched lookups
-//                       run through the version's one SimilarityIndex,
-//                       exact or IVF, which fans out on the process-wide
-//                       util::ThreadPool),
+//                       embedding-similarity candidates, computed once
+//                       per entity per version: the first align runs the
+//                       version's one SimilarityIndex (exact or IVF, which
+//                       fans out on the process-wide util::ThreadPool) and
+//                       fills the version's align memo; later aligns of
+//                       that entity read the memo,
 //   explain(e1, e2)   — the ExEA matching subgraph + ADG for a pair,
 //                       rendered to JSON; by far the expensive path, so
 //                       results go through an LRU cache,
@@ -183,11 +185,13 @@ class QueryEngine {
   [[nodiscard]] StatusOr<AlignResult> Align(const std::string& source,
                               const Deadline& deadline) const;
 
-  // Batched variant: one TopKAll dispatch for all sources (the thread
-  // pool splits the rows), then per-source assembly. InvalidArgument for
-  // an empty batch, NOT_FOUND (failing the whole batch) for any unknown
-  // name. Row i of the result depends only on sources[i], never on what
-  // else shares the dispatch.
+  // Batched variant: resolve every name, check the deadline, answer the
+  // sources the version's align memo holds, and send the rest (duplicates
+  // included) to one TopKAll dispatch (the thread pool splits the rows),
+  // whose rows fill the memo. InvalidArgument for an empty batch,
+  // NOT_FOUND (failing the whole batch) for any unknown name. Row i of the
+  // result depends only on sources[i], never on what else shares the
+  // dispatch or whether the memo answered it.
   [[nodiscard]] StatusOr<std::vector<AlignResult>> AlignBatch(
       const std::vector<std::string>& sources, const Deadline& deadline) const;
 
@@ -215,6 +219,7 @@ class QueryEngine {
   void ClearExplainCache();  // benches: measure the cold path repeatedly
 
   // The registry this engine's metrics live in:
+  //   span.serve.align_topk                  top-k dispatches of memo misses
   //   serve.explain_cache.hits / .misses     counters
   //   serve.explain_cache.invalidations      counter (clears on swap)
   //   serve.explain_cache.size               gauge

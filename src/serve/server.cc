@@ -6,6 +6,7 @@
 #include <iterator>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/parse.h"
 #include "util/string_util.h"
@@ -155,23 +156,56 @@ std::string ErrorResponse(const Status& status) {
                    JsonEscape(status.message()).c_str());
 }
 
-// Renders one align result listing at most `max_candidates` candidates.
-std::string AlignResultJson(const AlignResult& result, size_t max_candidates) {
-  std::ostringstream out;
-  out << "{\"entity\":\"" << JsonEscape(result.source) << "\",\"index\":\""
-      << JsonEscape(result.index) << "\",\"aligned\":[";
-  for (size_t i = 0; i < result.aligned.size(); ++i) {
-    out << (i == 0 ? "" : ",") << '"' << JsonEscape(result.aligned[i]) << '"';
+// Appends `raw` to `out` with JsonEscape's escaping.
+void AppendJsonEscaped(std::string_view raw, std::string* out) {
+  for (char c : raw) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += StrFormat("\\u%04x", c);
+        } else {
+          out->push_back(c);
+        }
+    }
   }
-  out << "],\"candidates\":[";
+}
+
+// Appends `raw` to `out` as a JSON string literal.
+void AppendJsonString(std::string_view raw, std::string* out) {
+  out->push_back('"');
+  AppendJsonEscaped(raw, out);
+  out->push_back('"');
+}
+
+// Appends one align result listing at most `max_candidates` candidates.
+void AppendAlignResultJson(const AlignResult& result, size_t max_candidates,
+                           std::string* out) {
+  *out += "{\"entity\":";
+  AppendJsonString(result.source, out);
+  *out += ",\"index\":";
+  AppendJsonString(result.index, out);
+  *out += ",\"aligned\":[";
+  for (size_t i = 0; i < result.aligned.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendJsonString(result.aligned[i], out);
+  }
+  *out += "],\"candidates\":[";
   size_t shown = 0;
   for (const auto& [entity, score] : result.candidates) {
     if (shown == max_candidates) break;
-    out << (shown++ == 0 ? "" : ",") << "{\"entity\":\"" << JsonEscape(entity)
-        << "\",\"score\":" << StrFormat("%.6f", score) << "}";
+    if (shown++ > 0) out->push_back(',');
+    *out += "{\"entity\":";
+    AppendJsonString(entity, out);
+    *out += ",\"score\":";
+    AppendFixed6(score, out);
+    out->push_back('}');
   }
-  out << "]}";
-  return out.str();
+  *out += "]}";
 }
 
 // ------------------------------------------------------------- decoding
@@ -355,18 +389,20 @@ StatusOr<std::string> HandleAlign(const QueryEngine& engine,
   // the same results for every k.
   size_t max_candidates =
       request.top_k == 0 ? SIZE_MAX : static_cast<size_t>(request.top_k);
+  std::string out = "{\"ok\":true,\"op\":\"align\",";
   if (!request.batched) {
-    return "{\"ok\":true,\"op\":\"align\",\"result\":" +
-           AlignResultJson((*results)[0], max_candidates) + "}";
+    out += "\"result\":";
+    AppendAlignResultJson((*results)[0], max_candidates, &out);
+    out.push_back('}');
+    return out;
   }
-  std::ostringstream out;
-  out << "{\"ok\":true,\"op\":\"align\",\"results\":[";
+  out += "\"results\":[";
   for (size_t i = 0; i < results->size(); ++i) {
-    out << (i == 0 ? "" : ",")
-        << AlignResultJson((*results)[i], max_candidates);
+    if (i > 0) out.push_back(',');
+    AppendAlignResultJson((*results)[i], max_candidates, &out);
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 StatusOr<std::string> HandleExplain(QueryEngine& engine,
@@ -386,18 +422,21 @@ StatusOr<std::string> HandleNeighbors(QueryEngine& engine,
   auto result =
       engine.Neighbors(request.entity, request.side, request.deadline);
   if (!result.ok()) return result.status();
-  std::ostringstream out;
-  out << "{\"ok\":true,\"op\":\"neighbors\",\"entity\":\""
-      << JsonEscape(result->entity) << "\",\"edges\":[";
+  std::string out = "{\"ok\":true,\"op\":\"neighbors\",\"entity\":";
+  AppendJsonString(result->entity, &out);
+  out += ",\"edges\":[";
   for (size_t i = 0; i < result->edges.size(); ++i) {
     const NeighborEdge& edge = result->edges[i];
-    out << (i == 0 ? "" : ",") << "{\"relation\":\""
-        << JsonEscape(edge.relation) << "\",\"neighbor\":\""
-        << JsonEscape(edge.neighbor) << "\",\"direction\":\""
-        << (edge.outgoing ? "out" : "in") << "\"}";
+    if (i > 0) out.push_back(',');
+    out += "{\"relation\":";
+    AppendJsonString(edge.relation, &out);
+    out += ",\"neighbor\":";
+    AppendJsonString(edge.neighbor, &out);
+    out += edge.outgoing ? ",\"direction\":\"out\"}"
+                         : ",\"direction\":\"in\"}";
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 StatusOr<std::string> HandleRepairStatus(QueryEngine& engine,
@@ -405,17 +444,19 @@ StatusOr<std::string> HandleRepairStatus(QueryEngine& engine,
   auto result =
       engine.RepairStatus(request.source, request.target, request.deadline);
   if (!result.ok()) return result.status();
-  std::ostringstream out;
-  out << "{\"ok\":true,\"op\":\"repair_status\",\"in_base\":"
-      << (result->in_base ? "true" : "false") << ",\"in_repaired\":"
-      << (result->in_repaired ? "true" : "false") << ",\"verdict\":\""
-      << result->verdict << "\",\"repaired_targets\":[";
+  std::string out = "{\"ok\":true,\"op\":\"repair_status\",\"in_base\":";
+  out += result->in_base ? "true" : "false";
+  out += ",\"in_repaired\":";
+  out += result->in_repaired ? "true" : "false";
+  out += ",\"verdict\":\"";
+  out += result->verdict;
+  out += "\",\"repaired_targets\":[";
   for (size_t i = 0; i < result->repaired_targets.size(); ++i) {
-    out << (i == 0 ? "" : ",") << '"'
-        << JsonEscape(result->repaired_targets[i]) << '"';
+    if (i > 0) out.push_back(',');
+    AppendJsonString(result->repaired_targets[i], &out);
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 StatusOr<std::string> HandleLoadSnapshot(QueryEngine& engine,
@@ -455,21 +496,7 @@ StatusOr<std::map<std::string, std::string>> ParseFlatJson(
 std::string JsonEscape(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  AppendJsonEscaped(raw, &out);
   return out;
 }
 

@@ -4,15 +4,26 @@
 
 namespace exea::serve {
 
+namespace {
+
+// TopKSlot::state values.
+constexpr uint8_t kEmpty = 0;
+constexpr uint8_t kFilling = 1;
+constexpr uint8_t kReady = 2;
+
+}  // namespace
+
 ServingState::ServingState(std::unique_ptr<SnapshotBundle> bundle,
                            uint64_t epoch, std::string source, bool use_ivf,
-                           obs::Registry* registry)
+                           size_t top_k, obs::Registry* registry)
     : bundle_(std::move(bundle)),
       epoch_(epoch),
       source_(std::move(source)),
       model_(bundle_.get()),
       explainer_(bundle_->dataset, model_, explain::ExeaConfig{}),
-      context_(&bundle_->alignment, &bundle_->dataset.train) {
+      context_(&bundle_->alignment, &bundle_->dataset.train),
+      top_k_(top_k),
+      topk_memo_(bundle_->emb1.rows()) {
   EXEA_CHECK(bundle_ != nullptr);
   if (use_ivf) {
     index_ = std::make_unique<la::IvfIndex>(&bundle_->emb2, &bundle_->ivf,
@@ -20,6 +31,25 @@ ServingState::ServingState(std::unique_ptr<SnapshotBundle> bundle,
   } else {
     index_ = std::make_unique<la::ExactIndex>(&bundle_->emb2, registry);
   }
+}
+
+const std::vector<la::ScoredIndex>* ServingState::MemoizedTopK(
+    kg::EntityId e) const {
+  EXEA_DCHECK_LT(e, topk_memo_.size());
+  const TopKSlot& slot = topk_memo_[e];
+  if (slot.state.load(std::memory_order_acquire) != kReady) return nullptr;
+  return &slot.candidates;
+}
+
+void ServingState::MemoizeTopK(kg::EntityId e,
+                               const std::vector<la::ScoredIndex>& row) const {
+  EXEA_DCHECK_LT(e, topk_memo_.size());
+  EXEA_DCHECK_LE(row.size(), top_k_);
+  TopKSlot& slot = topk_memo_[e];
+  uint8_t expected = kEmpty;
+  if (!slot.state.compare_exchange_strong(expected, kFilling)) return;
+  slot.candidates.assign(row.begin(), row.end());
+  slot.state.store(kReady, std::memory_order_release);
 }
 
 SnapshotManager::SnapshotManager(obs::Registry* registry)

@@ -3,9 +3,16 @@
 // A ServingState is one immutable snapshot version plus everything the
 // query paths derive from it — the similarity index (exact or IVF), the
 // SnapshotModel/ExeaExplainer pair, and the offline AlignmentContext.
-// It is built once, never mutated, and every borrow inside it (index →
-// emb2, model → bundle, context → alignment) points into the bundle the
-// state itself owns, so the whole object graph has exactly one lifetime.
+// It is built once and every borrow inside it (index → emb2, model →
+// bundle, context → alignment) points into the bundle the state itself
+// owns, so the whole object graph has exactly one lifetime.
+//
+// The one thing a version learns after it is built is its align memo:
+// one slot per KG1 entity holding that entity's top-k candidates from
+// the version's index. The index is deterministic and the embeddings are
+// frozen, so the first align of an entity fills its slot and every later
+// align on the same version reads it. The memo lives and dies with its
+// version, so a swap needs no invalidation.
 //
 // The SnapshotManager holds only the current version, behind a
 // refcounted handle:
@@ -37,8 +44,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "explain/exea.h"
+#include "kg/types.h"
+#include "la/similarity.h"
 #include "la/similarity_index.h"
 #include "obs/metrics.h"
 #include "serve/snapshot.h"
@@ -52,10 +62,12 @@ class ServingState {
   // monotonic version number; `source` is where the bundle came from
   // (directory path, or "<memory>" for in-process construction).
   // `use_ivf` serves align through the bundle's trained IVF index (which
-  // must then be present) instead of the exact scan. `registry` may be
-  // nullptr (Registry::Global()).
+  // must then be present) instead of the exact scan. `top_k` is the
+  // engine's candidate count, the row length the align memo holds.
+  // `registry` may be nullptr (Registry::Global()).
   ServingState(std::unique_ptr<SnapshotBundle> bundle, uint64_t epoch,
-               std::string source, bool use_ivf, obs::Registry* registry);
+               std::string source, bool use_ivf, size_t top_k,
+               obs::Registry* registry);
 
   ServingState(const ServingState&) = delete;
   ServingState& operator=(const ServingState&) = delete;
@@ -68,7 +80,32 @@ class ServingState {
   const explain::ExeaExplainer& explainer() const { return explainer_; }
   const explain::AlignmentContext& context() const { return context_; }
 
+  // The candidate count every memoized row was computed with.
+  size_t top_k() const { return top_k_; }
+
+  // KG1 entity `e`'s memoized index().TopKAll row at top_k(), or nullptr
+  // until an align on this version has computed it. Takes no lock; the
+  // row stays valid while the caller pins this state. `e` must be an
+  // emb1 row.
+  const std::vector<la::ScoredIndex>* MemoizedTopK(kg::EntityId e) const;
+
+  // Offers `row`, index().TopKAll's answer for `e` at top_k(), to the
+  // memo. The first offer fills the slot; an offer for a slot another
+  // align already claimed is dropped without waiting, since both
+  // computed the same bits.
+  void MemoizeTopK(kg::EntityId e,
+                   const std::vector<la::ScoredIndex>& row) const;
+
  private:
+  // One align-memo slot. `candidates` is written once, by the offer that
+  // moves `state` from kEmpty to kFilling, and published by its release
+  // store of kReady; readers touch it only after an acquire load of
+  // kReady.
+  struct TopKSlot {
+    std::atomic<uint8_t> state{0};
+    std::vector<la::ScoredIndex> candidates;
+  };
+
   // Declaration order is lifetime order: everything below borrows from
   // bundle_.
   std::unique_ptr<SnapshotBundle> bundle_;
@@ -78,6 +115,9 @@ class ServingState {
   SnapshotModel model_;
   explain::ExeaExplainer explainer_;
   explain::AlignmentContext context_;
+  size_t top_k_;
+  // One slot per emb1 row, empty until that entity's first align.
+  mutable std::vector<TopKSlot> topk_memo_;
 };
 
 class SnapshotManager {

@@ -1,8 +1,12 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cfloat>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+
+#include "util/check.h"
 
 namespace exea {
 
@@ -57,6 +61,15 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+void AppendFixed6(double value, std::string* out) {
+  // Sign, every integer digit of DBL_MAX, the point and six decimals.
+  char buf[1 + DBL_MAX_10_EXP + 1 + 1 + 6];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, 6);
+  EXEA_CHECK(ec == std::errc());
+  out->append(buf, end);
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

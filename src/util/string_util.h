@@ -23,6 +23,10 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+// Appends `value` to `out` exactly as printf("%.6f", value) prints it,
+// without printf: std::to_chars in fixed format is defined as printf's.
+void AppendFixed6(double value, std::string* out);
+
 // True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 

@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -249,16 +251,23 @@ struct Client {
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
 
-  // One response line, or "" on EOF.
+  // One response line, or what arrived of it before EOF.
   std::string ReadLine() {
-    std::string line;
-    char c;
-    while (::read(fd, &c, 1) == 1) {
-      if (c == '\n') return line;
-      line.push_back(c);
+    while (true) {
+      size_t nl = pending.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = pending.substr(0, nl);
+        pending.erase(0, nl + 1);
+        return line;
+      }
+      char chunk[65536];
+      ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) return std::exchange(pending, std::string());
+      pending.append(chunk, static_cast<size_t>(n));
     }
-    return line;
   }
+
+  std::string pending;  // bytes read past the last returned line
 };
 
 TEST(EventLoopTest, EchoesLinesInOrder) {
@@ -406,6 +415,96 @@ TEST(EventLoopTest, DrainStillAnswersAdmittedLines) {
   fixture.loop().BeginDrain();  // no new reads or accepts...
   fixture.loop().Send(admitted.conn, admitted.seq, "answered");
   EXPECT_EQ(client.ReadLine(), "answered");  // ...but owed answers flush
+}
+
+// A peer streaming blank lines keeps its socket full. The loop still
+// answers another connection promptly: it reads each connection once per
+// readiness event, and consumes a read's lines in linear time.
+TEST(EventLoopTest, BlankLineFloodDoesNotStarveOtherConnections) {
+  LoopFixture fixture([&fixture](const net::EventLoop::Line& line) {
+    fixture.loop().Send(line.conn, line.seq, "echo:" + line.text);
+  });
+  Client flooder(fixture.port());
+  Client probe(fixture.port());
+  probe.Send("warm\n");
+  ASSERT_EQ(probe.ReadLine(), "echo:warm");  // both connections admitted
+  // A starved probe times out instead of hanging the test.
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(probe.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> flooded{0};
+  std::thread flood([&] {
+    const std::string blanks(65536, '\n');
+    while (!stop.load()) {
+      // Non-blocking, so the flood ends as soon as the probe is answered.
+      ssize_t n = ::send(flooder.fd, blanks.data(), blanks.size(),
+                         MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        flooded.fetch_add(static_cast<size_t>(n));
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  });
+  while (flooded.load() < (size_t{1} << 20)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto start = std::chrono::steady_clock::now();
+  probe.Send("ping\n");
+  std::string reply = probe.ReadLine();
+  double waited = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  stop.store(true);
+  flood.join();
+
+  EXPECT_EQ(reply, "echo:ping");
+  EXPECT_LT(waited, 5.0) << "another peer's flood held the loop";
+  EXPECT_GE(flooded.load(), size_t{1} << 20);
+  EXPECT_EQ(fixture.registry().CounterValue("net.lines_in"), 2u);
+}
+
+// A peer that sends requests but never reads its responses stops being
+// read once its unsent responses pass the line cap, so server memory stays
+// bounded; every admitted line is still answered, in order, once it reads.
+TEST(EventLoopTest, PeerThatNeverReadsStopsBeingRead) {
+  constexpr size_t kLines = 200;
+  const std::string body(64 * 1024, 'r');
+  std::atomic<size_t> seen{0};
+  LoopFixture fixture([&](const net::EventLoop::Line& line) {
+    seen.fetch_add(1);
+    fixture.loop().Send(line.conn, line.seq,
+                        body + ":" + line.text.substr(0, line.text.find(' ')));
+  });
+
+  // 2 KiB request lines, so the 200 of them span several 64 KiB reads.
+  Client client(fixture.port());
+  std::string requests;
+  for (size_t i = 0; i < kLines; ++i) {
+    std::string line = "line-" + std::to_string(i) + " ";
+    requests += line + std::string(2048 - line.size(), '.') + "\n";
+  }
+  client.Send(requests);
+
+  // Let the loop take everything it is willing to take.
+  size_t last = 0;
+  for (int settled = 0; settled < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    size_t now = seen.load();
+    settled = now == last && now > 0 ? settled + 1 : 0;
+    last = now;
+  }
+  EXPECT_LT(seen.load(), kLines) << "the loop kept reading a peer that "
+                                    "reads none of its responses";
+
+  for (size_t i = 0; i < kLines; ++i) {
+    ASSERT_EQ(client.ReadLine(), body + ":line-" + std::to_string(i));
+  }
+  EXPECT_EQ(seen.load(), kLines);
 }
 
 // Connect/disconnect churn with clients that vanish without reading their

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -829,6 +830,185 @@ TEST_F(ServeTest, SwapChurnWhileAlignsStayInFlight) {
   EXPECT_EQ(registry.GaugeValue("serve.snapshot.versions"), 1.0);
 }
 
+// ------------------------------------------------------------ align memo
+
+void ExpectSameAlign(const serve::AlignResult& got,
+                     const serve::AlignResult& want) {
+  EXPECT_EQ(got.source, want.source);
+  EXPECT_EQ(got.index, want.index) << got.source;
+  EXPECT_EQ(got.aligned, want.aligned) << got.source;
+  EXPECT_EQ(got.candidates, want.candidates) << got.source;
+}
+
+// The memo belongs to its version: after a swap to a bundle with other
+// weights, an entity aligned before the swap answers from the new
+// version's index, exactly as a fresh engine over that bundle does.
+TEST_F(ServeTest, AlignMemoDoesNotLeakAcrossSwaps) {
+  obs::Registry registry;
+  serve::EngineOptions options;
+  options.registry = &registry;
+  auto engine = serve::QueryEngine::Open(WriteBundle(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::string alt = WriteAltBundle();
+  std::string source =
+      Pipeline().dataset.kg1.EntityName(ServedPair().source);
+
+  auto before = (*engine)->Align(source, serve::Deadline::None());
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  auto again = (*engine)->Align(source, serve::Deadline::None());
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ExpectSameAlign(*again, *before);
+  // The second align read the memo: one top-k row in all.
+  EXPECT_EQ(registry.CounterValue("index.exact.queries"), 1u);
+
+  ASSERT_TRUE((*engine)->LoadSnapshot(alt).ok());
+  auto after = (*engine)->Align(source, serve::Deadline::None());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(registry.CounterValue("index.exact.queries"), 2u);
+
+  auto fresh = serve::QueryEngine::Open(alt, serve::EngineOptions{});
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto want = (*fresh)->Align(source, serve::Deadline::None());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectSameAlign(*after, *want);
+  EXPECT_NE(after->candidates, before->candidates)
+      << "the two fixture bundles must disagree for this test to bite";
+}
+
+// Cold fills race: 8 threads align the same 3 entities on a fresh engine,
+// alone and in batches with duplicates, so several misses compute and
+// offer the same slot at once. Every answer equals a serial engine's.
+// TSAN runs this in CI.
+TEST_F(ServeTest, ConcurrentColdAlignsMatchSerial) {
+  std::string bundle = WriteBundle();
+  std::vector<std::string> names;
+  for (const kg::AlignedPair& pair : Pipeline().repaired.SortedPairs()) {
+    names.push_back(Pipeline().dataset.kg1.EntityName(pair.source));
+    if (names.size() == 3) break;
+  }
+  ASSERT_EQ(names.size(), 3u);
+  const std::vector<std::string> batch = {names[0], names[1], names[0],
+                                          names[2], names[1], names[0]};
+
+  auto serial = serve::QueryEngine::Open(bundle, serve::EngineOptions{});
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  std::vector<serve::AlignResult> want;
+  for (const std::string& name : names) {
+    auto result = (*serial)->Align(name, serve::Deadline::None());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    want.push_back(*result);
+  }
+
+  obs::Registry registry;
+  serve::EngineOptions options;
+  options.registry = &registry;
+  auto engine = serve::QueryEngine::Open(bundle, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < 20; ++round) {
+        if ((t + round) % 2 == 0) {
+          size_t at = static_cast<size_t>(t + round) % names.size();
+          auto result = (*engine)->Align(names[at], serve::Deadline::None());
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          ExpectSameAlign(*result, want[at]);
+        } else {
+          auto results =
+              (*engine)->AlignBatch(batch, serve::Deadline::None());
+          ASSERT_TRUE(results.ok()) << results.status().ToString();
+          ASSERT_EQ(results->size(), batch.size());
+          for (size_t i = 0; i < batch.size(); ++i) {
+            size_t at = static_cast<size_t>(
+                std::find(names.begin(), names.end(), batch[i]) -
+                names.begin());
+            ExpectSameAlign((*results)[i], want[at]);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  // Every slot is filled now, so no align reaches the index again.
+  uint64_t rows = registry.CounterValue("index.exact.queries");
+  EXPECT_GE(rows, names.size());
+  ASSERT_TRUE((*engine)->AlignBatch(batch, serve::Deadline::None()).ok());
+  EXPECT_EQ(registry.CounterValue("index.exact.queries"), rows);
+}
+
+// A top_k beyond KG2's size memoizes every KG2 row, ranked.
+TEST_F(ServeTest, AlignMemoHoldsAllRowsWhenTopKExceedsKg2) {
+  obs::Registry registry;
+  serve::EngineOptions options;
+  options.registry = &registry;
+  options.top_k = 1000;
+  auto engine = serve::QueryEngine::Open(WriteBundle(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  size_t kg2_rows = (*engine)->AcquireState()->bundle().emb2.rows();
+  ASSERT_LT(kg2_rows, options.top_k);
+  std::string source =
+      Pipeline().dataset.kg1.EntityName(ServedPair().source);
+
+  auto cold = (*engine)->Align(source, serve::Deadline::None());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->candidates.size(), kg2_rows);
+  auto warm = (*engine)->Align(source, serve::Deadline::None());
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ExpectSameAlign(*warm, *cold);
+  EXPECT_EQ(registry.CounterValue("index.exact.queries"), 1u);
+}
+
+// The IVF index memoizes like the exact one, and (nprobe ==
+// num_clusters) answers identically from the memo.
+TEST_F(ServeTest, AlignMemoServesIvfPolicy) {
+  std::string bundle = WriteIvfBundle();
+  obs::Registry registry;
+  serve::EngineOptions ivf_options;
+  ivf_options.registry = &registry;
+  ivf_options.index_policy = "ivf";
+  auto ivf = serve::QueryEngine::Open(bundle, ivf_options);
+  ASSERT_TRUE(ivf.ok()) << ivf.status().ToString();
+  serve::EngineOptions exact_options;
+  exact_options.index_policy = "exact";
+  auto exact = serve::QueryEngine::Open(bundle, exact_options);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  std::string source =
+      Pipeline().dataset.kg1.EntityName(ServedPair().source);
+
+  auto want = (*exact)->Align(source, serve::Deadline::None());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (int pass = 0; pass < 2; ++pass) {
+    auto got = (*ivf)->Align(source, serve::Deadline::None());
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->index, "ivf");
+    EXPECT_EQ(got->aligned, want->aligned);
+    EXPECT_EQ(got->candidates, want->candidates);
+  }
+  EXPECT_EQ(registry.CounterValue("index.ivf.queries"), 1u);
+}
+
+// The deadline check still precedes the memo: an expired deadline on an
+// entity the memo holds answers DEADLINE_EXCEEDED, as on a cold one.
+TEST_F(ServeTest, ExpiredDeadlineRejectsMemoizedAlign) {
+  auto engine =
+      serve::QueryEngine::Open(WriteBundle(), serve::EngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::string source =
+      Pipeline().dataset.kg1.EntityName(ServedPair().source);
+  ASSERT_TRUE((*engine)->Align(source, serve::Deadline::None()).ok());
+
+  auto expired = (*engine)->Align(source, serve::Deadline(1e-12));
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(expired.status().message(),
+            "align: deadline expired before lookup");
+}
+
 TEST_F(ServeTest, NeighborsAndRepairStatus) {
   auto engine =
       serve::QueryEngine::Open(WriteBundle(), serve::EngineOptions{});
@@ -1414,10 +1594,15 @@ TEST_F(AsyncServerTest, ServedBytesMatchHandleLineForEveryOp) {
 
 // Concurrent aligns over TCP: each worker runs its own top-k while the
 // others run theirs, and no response may differ by a byte from
-// HandleLine's on the same engine. TSAN runs this in CI.
+// HandleLine's. The reference runs on a second engine over the same
+// bundle, so the served engine's align memo starts cold and the clients'
+// first aligns race to fill it. TSAN runs this in CI.
 TEST_F(AsyncServerTest, ConcurrentAlignsMatchHandleLine) {
   StartAsync();
-  serve::Server reference(engine_.get(), serve::ServerOptions{});
+  auto reference_engine = serve::QueryEngine::Open(
+      (dir_ / "bundle").string(), serve::EngineOptions{});
+  ASSERT_TRUE(reference_engine.ok()) << reference_engine.status().ToString();
+  serve::Server reference(reference_engine->get(), serve::ServerOptions{});
   std::vector<std::string> requests;
   std::vector<std::string> expected;
   for (kg::EntityId e = 0; e < Pipeline().dataset.kg1.num_entities(); ++e) {

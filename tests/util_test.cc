@@ -3,10 +3,15 @@
 
 #include <unistd.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -232,6 +237,40 @@ TEST(StringTest, Join) {
 TEST(StringTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 42, "x"), "42-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
+}
+
+// AppendFixed6 prints exactly printf's "%.6f" bytes, which served align
+// scores kept when they moved off printf.
+TEST(StringTest, AppendFixed6MatchesPrintf) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 0.9999995, -0.9999995, 0.99999949999,
+      5e-7, -5e-7, 1.5e-6, 2.5e-6, 4.9999999e-7, 123456.7890125,
+      std::nextafter(0.9999995, 0.0), std::nextafter(0.9999995, 2.0),
+      std::nextafter(5e-7, 0.0), std::nextafter(5e-7, 1.0),
+      static_cast<double>(0.9999995f), static_cast<double>(5e-7f),
+      static_cast<double>(1.5e-6f), FLT_TRUE_MIN, -FLT_TRUE_MIN, FLT_MIN,
+      std::nextafter(FLT_MIN, 0.0f), FLT_MAX, -FLT_MAX, DBL_TRUE_MIN,
+      DBL_MIN, DBL_MAX, -DBL_MAX};
+  Rng rng(29);
+  for (int i = 0; i < 100000; ++i) {
+    uint32_t bits = static_cast<uint32_t>(rng.Next());
+    float value;
+    std::memcpy(&value, &bits, sizeof(value));
+    values.push_back(value);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t bits = rng.Next();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    values.push_back(value);
+  }
+  char expected[512];
+  for (double value : values) {
+    std::snprintf(expected, sizeof(expected), "%.6f", value);
+    std::string got = "x";
+    AppendFixed6(value, &got);
+    ASSERT_EQ(got, std::string("x") + expected) << "bits of " << value;
+  }
 }
 
 TEST(StringTest, StartsEndsWith) {

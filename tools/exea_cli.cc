@@ -1000,9 +1000,12 @@ int CmdBenchLoad(const Flags& flags) {
     return Fail("--swap-bundle requires self-hosted mode (--bundle)");
   }
 
-  // Deterministic request streams: client c's i-th request walks the
-  // entity list at a client-specific stride, so concurrent clients hit
-  // distinct entities (real batches, not one cached row).
+  // Deterministic request streams: client c's i-th request takes entry
+  // c * requests + i of the entity (or pair) list, wrapping, so
+  // concurrent clients start on different entities. An align that
+  // repeats an entity on the same snapshot version — once the streams
+  // wrap or overlap — is answered from that version's align memo without
+  // a top-k; only each entity's first align per version runs one.
   auto request_for = [&](size_t client, size_t i) -> std::string {
     std::string kind = op;
     if (op == "mixed") {
