@@ -15,9 +15,10 @@
 #   3. bench-load smoke: generate a tiny dataset, freeze a snapshot, and
 #      drive the async serving core with 8 concurrent clients, once in
 #      lockstep and once with 8 requests in flight per connection, then
-#      twice more while a second bundle is swapped in and out (mixed ops,
-#      then aligns alone) — the run fails on any malformed or dropped
-#      response or failed swap (exea_cli bench-load exits non-zero),
+#      three more times while a second bundle is swapped in and out
+#      (mixed ops, aligns alone, and aligns alone 8 in flight per
+#      connection) — the run fails on any malformed or dropped response
+#      or failed swap (exea_cli bench-load exits non-zero),
 #   4. e2ebench: build the end-to-end benchmark from source and run its
 #      self-tests in reduced mode (python3 e2ebench/test_e2ebench.py) —
 #      the benchmark compiles against the serving API, so an edit there
@@ -31,10 +32,20 @@
 #      (serve_test, incl. SwapChurnWhileAlignsStayInFlight,
 #      ConcurrentAlignsMatchHandleLine,
 #      HotSwapUnderConcurrentLoadDropsNothing and the align memo's racing
-#      cold fills, ConcurrentColdAlignsMatchSerial), the event loop's
+#      cold fills, ConcurrentColdAlignsMatchSerial), memo-hit aligns
+#      answered on the event loops beside worker answers and swaps
+#      (serve_test, MemoHitAlignsAnswerOnTheLoopAndCountOnce,
+#      MissesBatchesAndExplainsStillReachWorkers and
+#      SwapBetweenAlignsAnswersFromTheNewVersion), the event loop's
 #      fairness and backpressure under a flooding or non-reading peer
-#      (net_test, BlankLineFloodDoesNotStarveOtherConnections and
-#      PeerThatNeverReadsStopsBeingRead), the SIMD kernels under
+#      (net_test, BlankLineFloodDoesNotStarveOtherConnections,
+#      PeerThatNeverReadsStopsBeingRead and
+#      SpotAnswersHeldBehindASlowLineStopReads), the loop group's
+#      cross-thread handoff, shared connection cap, reorder buffer and
+#      drain (net_test, ConnectionsLandOnDifferentLoops,
+#      ConnectionCapHoldsAcrossLoops,
+#      SpotAnswerWaitsBehindEarlierHandedOffLine and
+#      DrainAndStopAnswerEveryLoopsAdmittedLines), the SIMD kernels under
 #      the parallel similarity scans (simd_test), the exact and IVF
 #      indexes queried from pool workers (index_test), and the snapshot
 #      loader's error paths on pool threads (hostile_input_test: every
@@ -105,6 +116,11 @@ mkdir -p "${SMOKE_DIR}/data"
 # between fills and hits of the same entity.
 ./build/tools/exea_cli bench-load --bundle "${SMOKE_DIR}/bundle" \
   --clients 8 --requests 1000 --op align \
+  --swap-bundle "${SMOKE_DIR}/bundle_alt" --swaps 5
+# Pipelined align-only churn: on one connection, hits answered on the
+# event loop queue behind misses a worker answers, while versions change.
+./build/tools/exea_cli bench-load --bundle "${SMOKE_DIR}/bundle" \
+  --clients 8 --requests 1000 --pipeline 8 --op align \
   --swap-bundle "${SMOKE_DIR}/bundle_alt" --swaps 5
 
 echo "=== e2ebench: build + self-test (reduced mode) ==="

@@ -1,9 +1,9 @@
 // A bounded MPMC FIFO queue — the admission-control buffer between the
-// event loop and the serving workers.
+// event loops and the serving workers.
 //
 // The capacity bound is the backpressure mechanism: TryPush never blocks
-// and returns false when the queue is full, so the (single-threaded,
-// latency-critical) event loop can reject a request immediately instead
+// and returns false when the queue is full, so a (latency-critical)
+// event loop can reject a request immediately instead
 // of buffering unbounded work for a saturated worker pool. Pop blocks
 // until an item arrives or the queue is closed; Close drains nothing —
 // items already queued are still handed out, and Pop returns false only

@@ -29,11 +29,15 @@ constexpr int kPollMillis = 100;  // bounds drain/stop latency
 
 }  // namespace
 
-EventLoop::EventLoop(const EventLoopOptions& options, LineHandler on_line)
-    : options_(options),
+EventLoop::EventLoop(size_t index, const EventLoopOptions& options,
+                     LineHandler on_line,
+                     std::atomic<size_t>* open_connections)
+    : index_(index),
+      options_(options),
       on_line_(std::move(on_line)),
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::Registry::Global()),
+      open_connections_(open_connections),
       next_conn_id_(kFirstConnId),
       accepted_(registry_->GetCounter("net.accepted")),
       conn_rejected_(registry_->GetCounter("net.conn_rejected")),
@@ -50,33 +54,26 @@ EventLoop::~EventLoop() {
   for (auto& [id, conn] : conns_) {
     if (conn.fd >= 0) ::close(conn.fd);
   }
+  // Handed over after Run() exited (the loop is stopped, so no thread
+  // posts here any more).
+  std::vector<int> adopted;
+  {
+    std::lock_guard<std::mutex> lock(mailbox_mu_);
+    adopted.swap(adopted_);
+  }
+  for (int fd : adopted) ReleaseFd(fd);
   if (listener_ >= 0) ::close(listener_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
-Status EventLoop::Listen(int port) {
-  EXEA_CHECK_EQ(epoll_fd_, -1) << "Listen called twice";
-  auto listener = ListenOn(port, kListenBacklog);
-  if (!listener.ok()) return listener.status();
-  listener_ = *listener;
-  Status nonblocking = SetNonBlocking(listener_);
-  if (!nonblocking.ok()) return nonblocking;
-  auto bound = BoundPort(listener_);
-  if (!bound.ok()) return bound.status();
-  port_ = *bound;
-
+Status EventLoop::Open() {
+  EXEA_CHECK_EQ(epoll_fd_, -1) << "Open called twice";
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) return Status::IoError("epoll_create1() failed");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
   if (wake_fd_ < 0) return Status::IoError("eventfd() failed");
-
   epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerTag;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_, &ev) < 0) {
-    return Status::IoError("epoll_ctl(listener) failed");
-  }
   ev.events = EPOLLIN;
   ev.data.u64 = kWakeTag;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
@@ -85,8 +82,30 @@ Status EventLoop::Listen(int port) {
   return Status::Ok();
 }
 
+Status EventLoop::Listen(int port, std::vector<EventLoop*> targets) {
+  EXEA_CHECK_GE(epoll_fd_, 0) << "Listen before a successful Open";
+  EXEA_CHECK_EQ(listener_, -1) << "Listen called twice";
+  EXEA_CHECK(!targets.empty()) << "Listen needs a loop to hand connections";
+  accept_targets_ = std::move(targets);
+  auto listener = ListenOn(port, kListenBacklog);
+  if (!listener.ok()) return listener.status();
+  listener_ = *listener;
+  Status nonblocking = SetNonBlocking(listener_);
+  if (!nonblocking.ok()) return nonblocking;
+  auto bound = BoundPort(listener_);
+  if (!bound.ok()) return bound.status();
+  port_ = *bound;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenerTag;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_, &ev) < 0) {
+    return Status::IoError("epoll_ctl(listener) failed");
+  }
+  return Status::Ok();
+}
+
 void EventLoop::Run() {
-  EXEA_CHECK_GE(epoll_fd_, 0) << "Run before a successful Listen";
+  EXEA_CHECK_GE(epoll_fd_, 0) << "Run before a successful Open";
   epoll_event events[kMaxEvents];
   while (true) {
     int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, kPollMillis);
@@ -179,10 +198,20 @@ void EventLoop::Send(uint64_t conn, uint64_t seq, std::string text) {
   WakeLoop();
 }
 
+void EventLoop::Adopt(int fd) {
+  {
+    std::lock_guard<std::mutex> lock(mailbox_mu_);
+    adopted_.push_back(fd);
+  }
+  WakeLoop();
+}
+
 void EventLoop::WakeLoop() {
   uint64_t one = 1;
   // The eventfd is a counter; a full (EAGAIN) or interrupted write still
-  // leaves a nonzero count behind, so the loop wakes either way.
+  // leaves a nonzero count behind, so the loop wakes either way. It is
+  // EFD_NONBLOCK, so the accepting loop handing a connection to another
+  // loop cannot block here. exea-lint: allow(loop-blocking)
   ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
   (void)ignored;
 }
@@ -195,28 +224,53 @@ void EventLoop::HandleAccept() {
     // there is no window where the loop thread could block on it.
     int client = AcceptNonBlocking(listener_);
     if (client < 0) return;  // EAGAIN: backlog drained (or transient)
-    if (conns_.size() >= options_.max_connections) {
+    // Only this thread accepts, so the check and the increment cannot
+    // interleave with another accept; closes on other loops only lower
+    // the total.
+    if (open_connections_->load(std::memory_order_acquire) >=
+        options_.max_connections) {
       // Over the cap: shed at the edge. Count before close so an
       // observer who saw the EOF also sees the rejection.
       conn_rejected_.Increment();
       ::close(client);
       continue;
     }
-    uint64_t id = next_conn_id_++;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client, &ev) < 0) {
-      ::close(client);
-      continue;
-    }
-    Connection conn;
-    conn.fd = client;
-    conn.id = id;
-    conns_.emplace(id, std::move(conn));
+    open_connections_->fetch_add(1, std::memory_order_acq_rel);
+    conns_gauge_.Add(1);
     accepted_.Increment();
-    conns_gauge_.Set(static_cast<double>(conns_.size()));
+    EventLoop* target = accept_targets_[next_target_];
+    next_target_ = (next_target_ + 1) % accept_targets_.size();
+    if (target == this) {
+      AddConnection(client);
+    } else {
+      target->Adopt(client);
+    }
   }
+}
+
+void EventLoop::AddConnection(int fd) {
+  if (drained_) {
+    ReleaseFd(fd);  // handed over after this loop stopped reading
+    return;
+  }
+  uint64_t id = next_conn_id_++;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = id;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    ReleaseFd(fd);
+    return;
+  }
+  Connection conn;
+  conn.fd = fd;
+  conn.id = id;
+  conns_.emplace(id, std::move(conn));
+}
+
+void EventLoop::ReleaseFd(int fd) {
+  ::close(fd);
+  open_connections_->fetch_sub(1, std::memory_order_acq_rel);
+  conns_gauge_.Add(-1);
 }
 
 void EventLoop::HandleReadable(Connection& conn) {
@@ -234,7 +288,11 @@ void EventLoop::HandleReadable(Connection& conn) {
   } while (n < 0 && errno == EINTR);
   if (n > 0) {
     conn.in_buf.append(chunk, static_cast<size_t>(n));
-    ExtractLines(conn);
+    if (ExtractLines(conn)) {
+      // One flush for every answer the read's lines got on the spot.
+      ReleaseReady(conn);
+      FlushOut(conn);
+    }
     return;
   }
   if (n == 0) {
@@ -247,9 +305,10 @@ void EventLoop::HandleReadable(Connection& conn) {
   CloseConn(id);  // ECONNRESET and friends
 }
 
-void EventLoop::ExtractLines(Connection& conn) {
+bool EventLoop::ExtractLines(Connection& conn) {
   // Lines are consumed by offset and the buffer is compacted once, so a
   // read full of short lines costs linear time.
+  bool answered = false;
   size_t start = 0;
   while (true) {
     size_t nl = conn.in_buf.find('\n', start);
@@ -257,6 +316,7 @@ void EventLoop::ExtractLines(Connection& conn) {
     std::string_view text(conn.in_buf.data() + start, nl - start);
     start = nl + 1;
     Line line;
+    line.loop = index_;
     line.conn = conn.id;
     if (conn.discarding) {
       line.oversized = true;
@@ -271,9 +331,15 @@ void EventLoop::ExtractLines(Connection& conn) {
     } else {
       line.text.assign(text);
     }
-    line.seq = conn.next_seq++;
+    uint64_t seq = conn.next_seq++;
+    line.seq = seq;
     lines_in_.Increment();
-    on_line_(std::move(line));
+    std::optional<std::string> answer = on_line_(std::move(line));
+    if (answer.has_value()) {
+      conn.ready_bytes += answer->size();
+      conn.ready.emplace(seq, std::move(*answer));
+      answered = true;
+    }
   }
   conn.in_buf.erase(0, start);
   if (conn.discarding) {
@@ -286,6 +352,7 @@ void EventLoop::ExtractLines(Connection& conn) {
     conn.discarded = conn.in_buf.size();
     conn.in_buf.clear();
   }
+  return answered;
 }
 
 void EventLoop::ReleaseReady(Connection& conn) {
@@ -294,6 +361,7 @@ void EventLoop::ReleaseReady(Connection& conn) {
     if (it == conn.ready.end()) break;
     conn.out += it->second;
     conn.out += '\n';
+    conn.ready_bytes -= it->second.size();
     conn.ready.erase(it);
     ++conn.next_send;
     responses_out_.Increment();
@@ -330,11 +398,12 @@ bool EventLoop::FlushOut(Connection& conn) {
 
 void EventLoop::UpdateInterest(Connection& conn) {
   size_t unsent = conn.out.size() - conn.out_pos;
-  // A peer whose unsent responses exceed the line cap is not read until
-  // a flush brings them back under it: one value bounds a connection's
+  // A peer owed more response bytes than the line cap — unsent, or held
+  // in the reorder buffer behind an earlier line — is not read until a
+  // flush brings them back under it: one value bounds a connection's
   // buffered input and output alike.
   bool want_read = !drained_ && !conn.peer_eof &&
-                   unsent <= options_.max_line_bytes;
+                   unsent + conn.ready_bytes <= options_.max_line_bytes;
   bool want_write = unsent > 0;
   if (want_read == conn.want_read && want_write == conn.want_write) return;
   conn.want_read = want_read;
@@ -352,10 +421,9 @@ void EventLoop::CloseConn(uint64_t id) {
   size_t unanswered = conn.ready.size();
   if (unanswered > 0) responses_dropped_.Increment(unanswered);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-  ::close(conn.fd);
+  ReleaseFd(conn.fd);
   conns_.erase(it);
   conn_closed_.Increment();
-  conns_gauge_.Set(static_cast<double>(conns_.size()));
 }
 
 void EventLoop::CloseIfFinished(uint64_t id) {
@@ -373,17 +441,21 @@ void EventLoop::CloseIfFinished(uint64_t id) {
 
 void EventLoop::DrainMailbox() {
   std::vector<Completion> batch;
+  std::vector<int> adopted;
   {
     std::lock_guard<std::mutex> lock(mailbox_mu_);
     batch.swap(mailbox_);
+    adopted.swap(adopted_);
   }
+  for (int fd : adopted) AddConnection(fd);
   for (Completion& completion : batch) {
     auto it = conns_.find(completion.conn);
     if (it == conns_.end()) {
       responses_dropped_.Increment();
       continue;
     }
-    it->second.ready[completion.seq] = std::move(completion.text);
+    it->second.ready_bytes += completion.text.size();
+    it->second.ready.emplace(completion.seq, std::move(completion.text));
   }
   // Flush once per connection per batch, not once per completion.
   std::vector<uint64_t> touched;
@@ -423,6 +495,55 @@ void EventLoop::ApplyDrain() {
     conn.discarding = false;
     UpdateInterest(conn);
     CloseIfFinished(id);
+  }
+}
+
+EventLoopGroup::EventLoopGroup(size_t loops, const EventLoopOptions& options,
+                               EventLoop::LineHandler on_line) {
+  EXEA_CHECK_GT(loops, 0u) << "EventLoopGroup needs at least one loop";
+  EXEA_CHECK(on_line != nullptr) << "EventLoopGroup needs a line handler";
+  loops_.reserve(loops);
+  for (size_t i = 0; i < loops; ++i) {
+    loops_.push_back(std::unique_ptr<EventLoop>(
+        // private ctor, reachable only through this friend; the pointer
+        // goes straight into the unique_ptr. exea-lint: allow(raw-new-delete)
+        new EventLoop(i, options, on_line, &open_connections_)));
+  }
+}
+
+EventLoopGroup::~EventLoopGroup() { Stop(); }
+
+Status EventLoopGroup::Start(int port) {
+  EXEA_CHECK(threads_.empty()) << "Start called twice";
+  std::vector<EventLoop*> targets;
+  for (auto& loop : loops_) {
+    Status opened = loop->Open();
+    if (!opened.ok()) return opened;
+    targets.push_back(loop.get());
+  }
+  Status listening = loops_.front()->Listen(port, std::move(targets));
+  if (!listening.ok()) return listening;
+  threads_.reserve(loops_.size());
+  for (auto& loop : loops_) {
+    threads_.emplace_back([raw = loop.get()] { raw->Run(); });
+  }
+  return Status::Ok();
+}
+
+void EventLoopGroup::Send(size_t loop, uint64_t conn, uint64_t seq,
+                          std::string text) {
+  EXEA_CHECK_LT(loop, loops_.size()) << "Send to a loop the group lacks";
+  loops_[loop]->Send(conn, seq, std::move(text));
+}
+
+void EventLoopGroup::BeginDrain() {
+  for (auto& loop : loops_) loop->BeginDrain();
+}
+
+void EventLoopGroup::Stop() {
+  for (auto& loop : loops_) loop->Stop();
+  for (std::thread& thread : threads_) {
+    if (thread.joinable()) thread.join();
   }
 }
 

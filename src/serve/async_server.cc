@@ -17,20 +17,22 @@ AsyncServer::AsyncServer(QueryEngine* engine,
 AsyncServer::~AsyncServer() { Shutdown(); }
 
 Status AsyncServer::Start(int port) {
-  EXEA_CHECK(loop_ == nullptr) << "Start called twice";
+  EXEA_CHECK(loops_ == nullptr) << "Start called twice";
+  if (options_.workers == 0) {
+    return Status::InvalidArgument("AsyncServer needs at least one worker");
+  }
   net::EventLoopOptions loop_options;
   loop_options.max_connections = options_.max_connections;
   loop_options.max_line_bytes = options_.server.max_request_bytes;
   loop_options.registry = registry_;
-  loop_ = std::make_unique<net::EventLoop>(
-      loop_options,
-      [this](net::EventLoop::Line&& line) { OnLine(std::move(line)); });
-  Status listening = loop_->Listen(port);
+  loops_ = std::make_unique<net::EventLoopGroup>(
+      options_.workers, loop_options,
+      [this](net::EventLoop::Line&& line) { return OnLine(std::move(line)); });
+  Status listening = loops_->Start(port);
   if (!listening.ok()) {
-    loop_.reset();
+    loops_.reset();
     return listening;
   }
-  loop_thread_ = std::thread([this] { loop_->Run(); });
   worker_pool_ = std::make_unique<util::ThreadPool>(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
     worker_pool_->Submit([this] { WorkerLoop(); });
@@ -38,27 +40,29 @@ Status AsyncServer::Start(int port) {
   return Status::Ok();
 }
 
-int AsyncServer::port() const { return loop_ != nullptr ? loop_->port() : 0; }
+int AsyncServer::port() const {
+  return loops_ != nullptr ? loops_->port() : 0;
+}
 
-void AsyncServer::OnLine(net::EventLoop::Line&& line) {
-  // Runs on the loop thread: admission decisions only, never work. Both
-  // rejection paths reuse Server's renderers so bytes and counters match
-  // the stdin path exactly.
-  if (line.oversized) {
-    loop_->Send(line.conn, line.seq,
-                server_.RejectOversized(line.observed_bytes));
-    return;
-  }
+std::optional<std::string> AsyncServer::OnLine(net::EventLoop::Line&& line) {
+  // Runs on the loop thread: admission decisions, plus the one answer
+  // cheap enough to make here — a single-entity align the memo holds.
+  // Every answer reuses Server's code, so bytes and counters match the
+  // stdin path exactly.
+  if (line.oversized) return server_.RejectOversized(line.observed_bytes);
+  std::optional<std::string> answer = server_.AnswerFromMemo(line.text);
+  if (answer.has_value()) return answer;
   Request request;
+  request.loop = line.loop;
   request.conn = line.conn;
   request.seq = line.seq;
   request.line = std::move(line.text);
   request.deadline = Deadline(options_.server.deadline_seconds);
   if (!admission_queue_.TryPush(std::move(request))) {
-    loop_->Send(line.conn, line.seq, server_.RejectQueueFull());
-    return;
+    return server_.RejectQueueFull();
   }
   queue_depth_.Set(static_cast<double>(admission_queue_.size()));
+  return std::nullopt;
 }
 
 void AsyncServer::WorkerLoop() {
@@ -72,12 +76,13 @@ void AsyncServer::WorkerLoop() {
         request.deadline.Expired()
             ? server_.ShedExpired(request.queued.ElapsedMillis())
             : server_.HandleLine(request.line);
-    loop_->Send(request.conn, request.seq, std::move(response));
+    loops_->Send(request.loop, request.conn, request.seq,
+                 std::move(response));
     if (server_.shutdown_requested()) {
-      // Stop admitting (drain the loop, close the queue) and wake
+      // Stop admitting (drain the loops, close the queue) and wake
       // whoever is blocked in Wait(); the actual joins happen there —
       // a worker cannot join its own pool.
-      loop_->BeginDrain();
+      loops_->BeginDrain();
       admission_queue_.Close();
       std::lock_guard<std::mutex> lock(mu_);
       shutdown_signaled_ = true;
@@ -105,13 +110,10 @@ void AsyncServer::Shutdown() {
 
 void AsyncServer::TeardownOnce() {
   std::call_once(teardown_once_, [this] {
-    if (loop_ != nullptr) loop_->BeginDrain();
+    if (loops_ != nullptr) loops_->BeginDrain();
     admission_queue_.Close();
     worker_pool_.reset();  // joins workers once the queue drains
-    if (loop_ != nullptr) {
-      loop_->Stop();  // flushes pending responses, bounded
-      if (loop_thread_.joinable()) loop_thread_.join();
-    }
+    if (loops_ != nullptr) loops_->Stop();  // flushes, bounded; joins
   });
 }
 

@@ -1,17 +1,24 @@
 // AsyncServer: the concurrent TCP serving core (DESIGN.md §12).
 //
-//   epoll event loop  →  bounded MPMC queue  →  worker pool  →  loop
-//    (net/EventLoop)      (net/BoundedQueue)    (util/ThreadPool)
+//   event loops ──► bounded MPMC queue ──► worker pool ──┐
+//   (net/EventLoopGroup) (net/BoundedQueue)  (util/ThreadPool)
+//     ▲  │ memo-hit align: answered on the loop            │
+//     └──┴──────────── Send(loop, conn, seq, response) ◄───┘
 //
-// The single-threaded event loop owns every socket: it accepts, frames
-// NDJSON request lines (partial reads, oversized-line draining), and
-// writes responses back in per-connection request order. Each complete
-// line is admitted into a bounded queue; workers pop lines, run them
-// through the ordinary Server::HandleLine — so response bytes and traffic
-// counters are identical to the stdin path by construction — and post
-// the response back to the loop. An align runs its own top-k on the
-// worker that dequeued it, as on the stdin path: there is no
-// cross-request batching and no hold.
+// `workers` event loops, one thread each, own the sockets: loop 0 accepts
+// and hands each connection round-robin to a loop, which frames its
+// NDJSON request lines (partial reads, oversized-line draining) and
+// writes its responses back in request order. A line that is a
+// single-entity align whose row the current snapshot version's align
+// memo already holds is answered on the loop that framed it
+// (Server::AnswerFromMemo): one row's render, no top-k, no queue and no
+// thread hop. Every other line is admitted into a bounded queue; workers
+// pop lines, run them through the ordinary Server::HandleLine, and post
+// the response back to the loop that owns the connection. Either way the
+// bytes and traffic counters are identical to the stdin path by
+// construction. An align the memo cannot answer runs its own top-k on
+// the worker that dequeued it: there is no cross-request batching and no
+// hold.
 //
 // Admission control, in the order a request meets it:
 //   1. max_connections — excess connects are closed at accept
@@ -19,16 +26,16 @@
 //   2. oversized lines — rejected by the loop with the stdin path's
 //      exact error (serve.oversized),
 //   3. queue_capacity — a full queue rejects immediately with
-//      UNAVAILABLE (serve.rejected); the loop never blocks on a
+//      UNAVAILABLE (serve.rejected); a loop never blocks on a
 //      saturated worker pool,
-//   4. deadline shed — each request's deadline starts at admission; a
-//      request that expires while queued is shed right after dequeue,
-//      before any parsing or compute (serve.deadline_exceeded +
-//      serve.shed).
+//   4. deadline shed — a queued request's deadline starts at admission;
+//      one that expires while queued is shed right after dequeue, before
+//      any parsing or compute (serve.deadline_exceeded + serve.shed).
+// A memo-hit align never reaches 3 or 4: it is answered before the queue.
 //
-// Shutdown ({"op":"shutdown"} or Shutdown()): the loop stops accepting
+// Shutdown ({"op":"shutdown"} or Shutdown()): the loops stop accepting
 // and reading, the queue closes, workers drain every admitted request,
-// and the loop flushes all pending responses before exiting — every
+// and each loop flushes all its pending responses before exiting — every
 // admitted request is answered.
 //
 // The workers get their own ThreadPool instance, NOT util/parallel.h's
@@ -45,8 +52,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 
 #include "net/bounded_queue.h"
 #include "net/event_loop.h"
@@ -61,6 +68,7 @@
 namespace exea::serve {
 
 struct AsyncServerOptions {
+  // Worker threads, and also the number of event loops.
   size_t workers = 4;
   size_t queue_capacity = 1024;   // admission bound (requests)
   size_t max_connections = 256;   // concurrent client cap
@@ -76,7 +84,8 @@ struct AsyncServerOptions {
 
   // Test seam: runs in each worker right after dequeue, before the shed
   // check — lets tests hold workers to force queue-full and expired
-  // deadlines deterministically. Never set in production.
+  // deadlines deterministically. Lines answered on a loop never reach
+  // it. Never set in production.
   std::function<void()> worker_hook_for_test;
 };
 
@@ -92,7 +101,7 @@ class AsyncServer {
   AsyncServer& operator=(const AsyncServer&) = delete;
 
   // Binds 127.0.0.1:`port` (0 → kernel-assigned) and starts the loop
-  // thread and workers. Call once.
+  // threads and workers. Call once.
   [[nodiscard]] Status Start(int port);
 
   // The bound port, valid after a successful Start().
@@ -113,6 +122,7 @@ class AsyncServer {
  private:
   // One admitted request line traveling loop → queue → worker.
   struct Request {
+    size_t loop = 0;  // the loop that owns the connection
     uint64_t conn = 0;
     uint64_t seq = 0;
     std::string line;
@@ -120,7 +130,9 @@ class AsyncServer {
     WallTimer queued;                      // measures the queue wait
   };
 
-  void OnLine(net::EventLoop::Line&& line);  // loop thread
+  // Runs on the loop thread that framed `line`: its response when the
+  // loop answers it, std::nullopt once it is queued for a worker.
+  std::optional<std::string> OnLine(net::EventLoop::Line&& line);
   void WorkerLoop();
   void TeardownOnce();
 
@@ -128,8 +140,7 @@ class AsyncServer {
   obs::Registry* registry_;  // never null; resolved like Server's
   Server server_;
   net::BoundedQueue<Request> admission_queue_;
-  std::unique_ptr<net::EventLoop> loop_;
-  std::thread loop_thread_;
+  std::unique_ptr<net::EventLoopGroup> loops_;
   std::unique_ptr<util::ThreadPool> worker_pool_;
   obs::Gauge& queue_depth_;
   std::once_flag teardown_once_;

@@ -46,6 +46,68 @@ bool UseIvf(const std::string& policy, const SnapshotBundle& bundle) {
   return policy == "ivf" || bundle.emb2.rows() >= kIvfMinRows;
 }
 
+// What AlignBatch knows before any top-k: the version it pinned, the
+// resolved rows, and each row's memoized candidates (nullptr for the
+// `missed` rows, which the memo does not hold yet).
+struct AlignLookup {
+  std::shared_ptr<const ServingState> state;
+  std::vector<kg::EntityId> ids;
+  std::vector<const std::vector<la::ScoredIndex>*> topk;
+  std::vector<size_t> missed;
+};
+
+// Pins one version, resolves `sources`, checks the deadline and reads
+// the memo. One pinned version throughout: the ids resolved here index
+// the same tables the caller's top-k and results read, even if a swap
+// lands in between.
+StatusOr<AlignLookup> LookUpAlign(const QueryEngine& engine,
+                                  const std::vector<std::string>& sources,
+                                  const Deadline& deadline) {
+  AlignLookup lookup;
+  lookup.state = engine.AcquireState();
+  auto ids = engine.ResolveAlignBatch(*lookup.state, sources);
+  if (!ids.ok()) return ids.status();
+  if (deadline.Expired()) {
+    return Status::DeadlineExceeded("align: deadline expired before lookup");
+  }
+  lookup.ids = std::move(*ids);
+  lookup.topk.resize(lookup.ids.size());
+  for (size_t i = 0; i < lookup.ids.size(); ++i) {
+    // Resolved ids index the embedding table and the memo directly;
+    // snapshot-load consistency (rows == entity count) makes this hold
+    // WITHIN one pinned state, and a violation here would hand Row()
+    // out-of-table memory — always-on check.
+    EXEA_CHECK_LT(lookup.ids[i], lookup.state->bundle().emb1.rows());
+    lookup.topk[i] = lookup.state->MemoizedTopK(lookup.ids[i]);
+    if (lookup.topk[i] == nullptr) lookup.missed.push_back(i);
+  }
+  return lookup;
+}
+
+// The served results for a lookup whose every row has its candidates.
+std::vector<AlignResult> BuildAlignResults(
+    const AlignLookup& lookup, const std::vector<std::string>& sources) {
+  const SnapshotBundle& bundle = lookup.state->bundle();
+  std::vector<AlignResult> results;
+  results.reserve(lookup.ids.size());
+  for (size_t i = 0; i < lookup.ids.size(); ++i) {
+    AlignResult result;
+    result.source = sources[i];
+    result.index = lookup.state->index().name();
+    for (kg::EntityId target : bundle.repaired.TargetsOf(lookup.ids[i])) {
+      result.aligned.push_back(bundle.dataset.kg2.EntityName(target));
+    }
+    result.candidates.reserve(lookup.topk[i]->size());
+    for (const la::ScoredIndex& candidate : *lookup.topk[i]) {
+      result.candidates.emplace_back(
+          bundle.dataset.kg2.EntityName(candidate.index),
+          static_cast<double>(candidate.score));
+    }
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(std::unique_ptr<SnapshotBundle> bundle,
@@ -174,65 +236,38 @@ StatusOr<AlignResult> QueryEngine::Align(const std::string& source,
 
 StatusOr<std::vector<AlignResult>> QueryEngine::AlignBatch(
     const std::vector<std::string>& sources, const Deadline& deadline) const {
-  // One pinned version throughout: the ids resolved here index the same
-  // tables the top-k below reads, even if a swap lands in between.
-  std::shared_ptr<const ServingState> state = AcquireState();
-  auto ids = ResolveAlignBatch(*state, sources);
-  if (!ids.ok()) return ids.status();
-  if (deadline.Expired()) {
-    return Status::DeadlineExceeded("align: deadline expired before lookup");
-  }
-  const SnapshotBundle& bundle = state->bundle();
+  auto lookup = LookUpAlign(*this, sources, deadline);
+  if (!lookup.ok()) return lookup.status();
+  const ServingState& state = *lookup->state;
+  const SnapshotBundle& bundle = state.bundle();
 
-  // Each row's candidates come from the version's memo when an earlier
-  // align computed them. The misses go to one batched top-k, which the
-  // similarity kernel splits over the worker pool, and fill the memo.
-  std::vector<const std::vector<la::ScoredIndex>*> topk(ids->size());
-  std::vector<size_t> missed;
-  for (size_t i = 0; i < ids->size(); ++i) {
-    // Resolved ids index the embedding table and the memo directly;
-    // snapshot-load consistency (rows == entity count) makes this hold
-    // WITHIN one pinned state, and a violation here would hand Row()
-    // out-of-table memory — always-on check.
-    EXEA_CHECK_LT((*ids)[i], bundle.emb1.rows());
-    topk[i] = state->MemoizedTopK((*ids)[i]);
-    if (topk[i] == nullptr) missed.push_back(i);
-  }
+  // The rows the memo could not answer go to one batched top-k, which
+  // the similarity kernel splits over the worker pool, and fill the memo.
   std::vector<std::vector<la::ScoredIndex>> computed;
-  if (!missed.empty()) {
-    la::Matrix queries(missed.size(), bundle.emb1.cols());
-    for (size_t j = 0; j < missed.size(); ++j) {
-      const float* row = bundle.emb1.Row((*ids)[missed[j]]);
+  if (!lookup->missed.empty()) {
+    la::Matrix queries(lookup->missed.size(), bundle.emb1.cols());
+    for (size_t j = 0; j < lookup->missed.size(); ++j) {
+      const float* row = bundle.emb1.Row(lookup->ids[lookup->missed[j]]);
       std::copy(row, row + bundle.emb1.cols(), queries.Row(j));
     }
     {
       obs::Span span(registry_, "serve.align_topk");
-      computed = state->index().TopKAll(queries, state->top_k());
+      computed = state.index().TopKAll(queries, state.top_k());
     }
-    for (size_t j = 0; j < missed.size(); ++j) {
-      state->MemoizeTopK((*ids)[missed[j]], computed[j]);
-      topk[missed[j]] = &computed[j];
+    for (size_t j = 0; j < lookup->missed.size(); ++j) {
+      size_t i = lookup->missed[j];
+      state.MemoizeTopK(lookup->ids[i], computed[j]);
+      lookup->topk[i] = &computed[j];
     }
   }
+  return BuildAlignResults(*lookup, sources);
+}
 
-  std::vector<AlignResult> results;
-  results.reserve(ids->size());
-  for (size_t i = 0; i < ids->size(); ++i) {
-    AlignResult result;
-    result.source = sources[i];
-    result.index = state->index().name();
-    for (kg::EntityId target : bundle.repaired.TargetsOf((*ids)[i])) {
-      result.aligned.push_back(bundle.dataset.kg2.EntityName(target));
-    }
-    result.candidates.reserve(topk[i]->size());
-    for (const la::ScoredIndex& candidate : *topk[i]) {
-      result.candidates.emplace_back(
-          bundle.dataset.kg2.EntityName(candidate.index),
-          static_cast<double>(candidate.score));
-    }
-    results.push_back(std::move(result));
-  }
-  return results;
+std::optional<std::vector<AlignResult>> QueryEngine::AlignBatchFromMemo(
+    const std::vector<std::string>& sources, const Deadline& deadline) const {
+  auto lookup = LookUpAlign(*this, sources, deadline);
+  if (!lookup.ok() || !lookup->missed.empty()) return std::nullopt;
+  return BuildAlignResults(*lookup, sources);
 }
 
 StatusOr<std::vector<kg::EntityId>> QueryEngine::ResolveAlignBatch(

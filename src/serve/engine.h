@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,6 +194,15 @@ class QueryEngine {
   // result depends only on sources[i], never on what else shares the
   // dispatch or whether the memo answered it.
   [[nodiscard]] StatusOr<std::vector<AlignResult>> AlignBatch(
+      const std::vector<std::string>& sources, const Deadline& deadline) const;
+
+  // AlignBatch up to, not including, its top-k: the same pinned version,
+  // name resolution, deadline check, memo reads and results, or
+  // std::nullopt wherever AlignBatch would fail (an empty batch, an
+  // unknown name, an expired deadline) or run a top-k (a row the memo
+  // does not hold yet). It never runs a top-k, so an event-loop thread
+  // may call it.
+  std::optional<std::vector<AlignResult>> AlignBatchFromMemo(
       const std::vector<std::string>& sources, const Deadline& deadline) const;
 
   // AlignBatch's name-resolution stage alone, against `state`, with the

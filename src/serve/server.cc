@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <istream>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -381,10 +382,9 @@ bool ReadLineBounded(std::istream& in, size_t max_bytes, std::string& line,
 
 // ------------------------------------------------------------- handlers
 
-StatusOr<std::string> HandleAlign(const QueryEngine& engine,
-                                  const Request& request) {
-  auto results = engine.AlignBatch(request.entities, request.deadline);
-  if (!results.ok()) return results.status();
+// The align response for `request` answered with `results`.
+std::string RenderAlign(const Request& request,
+                        const std::vector<AlignResult>& results) {
   // The candidate cap applies at render time only: the engine computes
   // the same results for every k.
   size_t max_candidates =
@@ -392,17 +392,24 @@ StatusOr<std::string> HandleAlign(const QueryEngine& engine,
   std::string out = "{\"ok\":true,\"op\":\"align\",";
   if (!request.batched) {
     out += "\"result\":";
-    AppendAlignResultJson((*results)[0], max_candidates, &out);
+    AppendAlignResultJson(results[0], max_candidates, &out);
     out.push_back('}');
     return out;
   }
   out += "\"results\":[";
-  for (size_t i = 0; i < results->size(); ++i) {
+  for (size_t i = 0; i < results.size(); ++i) {
     if (i > 0) out.push_back(',');
-    AppendAlignResultJson((*results)[i], max_candidates, &out);
+    AppendAlignResultJson(results[i], max_candidates, &out);
   }
   out += "]}";
   return out;
+}
+
+StatusOr<std::string> HandleAlign(const QueryEngine& engine,
+                                  const Request& request) {
+  auto results = engine.AlignBatch(request.entities, request.deadline);
+  if (!results.ok()) return results.status();
+  return RenderAlign(request, *results);
 }
 
 StatusOr<std::string> HandleExplain(QueryEngine& engine,
@@ -564,6 +571,30 @@ std::string Server::HandleLine(const std::string& line) {
   } else {
     out = CountError(response.status());
   }
+  latency_ms_.Record(timer.ElapsedMillis());
+  return out;
+}
+
+std::optional<std::string> Server::AnswerFromMemo(const std::string& line) {
+  if (line.size() > options_.max_request_bytes) return std::nullopt;
+  WallTimer timer;
+  auto fields = ParseFlatJson(line);
+  if (!fields.ok()) return std::nullopt;
+  // A batched align stays on the workers, so the caller's cost per line
+  // stays bounded by one row's render.
+  if (OpOf(*fields) != Op::kAlign || fields->count("entities") > 0) {
+    return std::nullopt;
+  }
+  auto request = DecodeRequest(Op::kAlign, *fields, options_.deadline_seconds);
+  if (!request.ok()) return std::nullopt;
+  std::optional<std::vector<AlignResult>> results =
+      engine_->AlignBatchFromMemo(request->entities, request->deadline);
+  if (!results.has_value()) return std::nullopt;
+  std::string out = RenderAlign(*request, *results);
+  // What HandleLine counts for the same line.
+  requests_.Increment();
+  op_counters_[static_cast<size_t>(Op::kAlign)]->Increment();
+  ok_.Increment();
   latency_ms_.Record(timer.ElapsedMillis());
   return out;
 }

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,17 @@ class Server {
   // cache, counters are atomic, and the latency histogram takes its own
   // brief lock per sample.
   std::string HandleLine(const std::string& line);
+
+  // HandleLine for the lines that cost one row's render: a well-formed
+  // single-entity align ("entity", not "entities") whose name resolves,
+  // whose deadline has not expired and whose row the current version's
+  // align memo already holds. Answers such a line with HandleLine's bytes
+  // and counts exactly what HandleLine would (serve.requests,
+  // serve.op.align, serve.ok, one serve.latency_ms sample). Any other
+  // line gets std::nullopt and counts nothing; the caller then hands it
+  // to HandleLine. Never runs a top-k, so an event-loop thread may call
+  // it. Thread-safe.
+  std::optional<std::string> AnswerFromMemo(const std::string& line);
 
   // Reads requests from `in` until EOF or {"op":"shutdown"}; writes one
   // response line per request to `out` (flushed per line, so a pipe peer

@@ -239,6 +239,36 @@ TEST_F(CliTest, NegativeThreadsFlagFails) {
   EXPECT_NE(out_.find("--threads"), std::string::npos) << out_;
 }
 
+// Worker, queue and connection counts that would hang the server (no
+// worker), abort it (an empty queue), shed every client, or start
+// thousands of threads are refused up front, naming the flag. The bundle
+// does not exist: the flags are checked before it is read and before any
+// thread starts.
+TEST_F(CliTest, ServeRejectsUnusableCountFlags) {
+  const std::string serve =
+      "serve --bundle " + (*dir_ / "no_bundle").string() + " --port 0 ";
+  for (const char* flag :
+       {"--workers 0", "--workers -1", "--workers abc", "--workers 257",
+        "--workers 100000", "--queue 0", "--queue -5", "--queue 12x",
+        "--max-conns 0", "--max-conns -1"}) {
+    EXPECT_NE(Run(serve + flag), 0) << flag;
+    std::string name(flag, std::string(flag).find(' '));
+    EXPECT_NE(out_.find(name + " must be"), std::string::npos)
+        << flag << ": " << out_;
+  }
+}
+
+TEST_F(CliTest, BenchLoadRejectsUnusableCountFlags) {
+  const std::string bench =
+      "bench-load --bundle " + (*dir_ / "no_bundle").string() + " ";
+  for (const char* flag : {"--workers 0", "--workers 257", "--queue 0"}) {
+    EXPECT_NE(Run(bench + flag), 0) << flag;
+    std::string name(flag, std::string(flag).find(' '));
+    EXPECT_NE(out_.find(name + " must be"), std::string::npos)
+        << flag << ": " << out_;
+  }
+}
+
 TEST_F(CliTest, MissingRequiredFlagFails) {
   EXPECT_NE(Run("align --model MTransE"), 0);  // no --dir
   EXPECT_NE(Run("explain --dir " + dir_->string() + " --model MTransE"),

@@ -1,10 +1,13 @@
 // Tests for the async transport primitives in src/net/: the bounded MPMC
-// admission queue, the blocking socket helpers, and the epoll event loop's
-// framing guarantees — partial reads, partial writes, response reordering,
-// oversized-line rejection, the connection cap, and drain semantics.
+// admission queue, the blocking socket helpers, and the epoll event loops'
+// framing guarantees — partial reads, partial writes, response reordering
+// (answers made on the loop and by other threads alike), oversized-line
+// rejection, the connection cap, drain semantics, and the loop group's
+// round-robin handoff.
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -18,6 +21,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -201,37 +206,43 @@ TEST(SocketIoTest, LineReaderSplitsAndMeasuresOversized) {
 
 // ------------------------------------------------------------- EventLoop
 
-// A loop on its own thread with an injectable line handler and a private
-// registry, plus a blocking client helper speaking the NDJSON framing.
+// An event-loop group (one loop unless asked for more, each on its own
+// thread) with an injectable line handler and a private registry, plus a
+// blocking client helper speaking the NDJSON framing.
 class LoopFixture {
  public:
-  using Handler = std::function<void(const net::EventLoop::Line&)>;
+  // Answers a line on the spot, or returns std::nullopt to answer it
+  // later through Send().
+  using Handler =
+      std::function<std::optional<std::string>(const net::EventLoop::Line&)>;
 
-  explicit LoopFixture(Handler handler, net::EventLoopOptions options =
-                                            net::EventLoopOptions{}) {
+  explicit LoopFixture(Handler handler,
+                       net::EventLoopOptions options = net::EventLoopOptions{},
+                       size_t loops = 1) {
     options.registry = &registry_;
     handler_ = std::move(handler);
-    loop_ = std::make_unique<net::EventLoop>(
-        options, [this](const net::EventLoop::Line& line) { handler_(line); });
-    Status status = loop_->Listen(0);
+    group_ = std::make_unique<net::EventLoopGroup>(
+        loops, options,
+        [this](net::EventLoop::Line&& line) { return handler_(line); });
+    Status status = group_->Start(0);
     EXPECT_TRUE(status.ok()) << status.ToString();
-    thread_ = std::thread([this] { loop_->Run(); });
   }
 
-  ~LoopFixture() {
-    loop_->Stop();
-    thread_.join();
+  ~LoopFixture() { group_->Stop(); }
+
+  // Answers `line` from any thread.
+  void Send(const net::EventLoop::Line& line, std::string text) {
+    group_->Send(line.loop, line.conn, line.seq, std::move(text));
   }
 
-  net::EventLoop& loop() { return *loop_; }
-  int port() const { return loop_->port(); }
+  net::EventLoopGroup& group() { return *group_; }
+  int port() const { return group_->port(); }
   obs::Registry& registry() { return registry_; }
 
  private:
   obs::Registry registry_;
   Handler handler_;
-  std::unique_ptr<net::EventLoop> loop_;
-  std::thread thread_;
+  std::unique_ptr<net::EventLoopGroup> group_;
 };
 
 struct Client {
@@ -272,7 +283,8 @@ struct Client {
 
 TEST(EventLoopTest, EchoesLinesInOrder) {
   LoopFixture fixture([&fixture](const net::EventLoop::Line& line) {
-    fixture.loop().Send(line.conn, line.seq, "echo:" + line.text);
+    fixture.Send(line, "echo:" + line.text);
+    return std::nullopt;
   });
   Client client(fixture.port());
   client.Send("alpha\nbeta\ngamma\n");
@@ -284,7 +296,8 @@ TEST(EventLoopTest, EchoesLinesInOrder) {
 
 TEST(EventLoopTest, ReassemblesLinesAcrossPartialReads) {
   LoopFixture fixture([&fixture](const net::EventLoop::Line& line) {
-    fixture.loop().Send(line.conn, line.seq, "got:" + line.text);
+    fixture.Send(line, "got:" + line.text);
+    return std::nullopt;
   });
   Client client(fixture.port());
   client.Send("hel");
@@ -306,6 +319,7 @@ TEST(EventLoopTest, ReordersRacingResponses) {
     std::lock_guard<std::mutex> lock(mu);
     lines.push_back(line);
     cv.notify_all();
+    return std::nullopt;
   });
 
   Client client(fixture.port());
@@ -320,8 +334,8 @@ TEST(EventLoopTest, ReordersRacingResponses) {
   EXPECT_EQ(pair[1].seq, 1u);
 
   // Answer in reverse: seq 1 before seq 0.
-  fixture.loop().Send(pair[1].conn, pair[1].seq, "r:" + pair[1].text);
-  fixture.loop().Send(pair[0].conn, pair[0].seq, "r:" + pair[0].text);
+  fixture.Send(pair[1], "r:" + pair[1].text);
+  fixture.Send(pair[0], "r:" + pair[0].text);
 
   EXPECT_EQ(client.ReadLine(), "r:first");
   EXPECT_EQ(client.ReadLine(), "r:second");
@@ -331,15 +345,12 @@ TEST(EventLoopTest, OversizedLineIsMeasuredNotBuffered) {
   net::EventLoopOptions options;
   options.max_line_bytes = 16;
   LoopFixture fixture(
-      [&fixture](const net::EventLoop::Line& line) {
+      [](const net::EventLoop::Line& line) -> std::optional<std::string> {
         if (line.oversized) {
           EXPECT_TRUE(line.text.empty());
-          fixture.loop().Send(
-              line.conn, line.seq,
-              "too-big:" + std::to_string(line.observed_bytes));
-        } else {
-          fixture.loop().Send(line.conn, line.seq, "ok:" + line.text);
+          return "too-big:" + std::to_string(line.observed_bytes);
         }
+        return "ok:" + line.text;
       },
       options);
 
@@ -357,7 +368,8 @@ TEST(EventLoopTest, BlankLinesConsumeNoSequence) {
       std::lock_guard<std::mutex> lock(mu);
       seqs.push_back(line.seq);
     }
-    fixture.loop().Send(line.conn, line.seq, "ack:" + line.text);
+    fixture.Send(line, "ack:" + line.text);
+    return std::nullopt;
   });
 
   Client client(fixture.port());
@@ -377,7 +389,8 @@ TEST(EventLoopTest, ConnectionCapShedsAtAccept) {
   options.max_connections = 1;
   LoopFixture fixture(
       [&fixture](const net::EventLoop::Line& line) {
-        fixture.loop().Send(line.conn, line.seq, "pong");
+        fixture.Send(line, "pong");
+        return std::nullopt;
       },
       options);
 
@@ -401,6 +414,7 @@ TEST(EventLoopTest, DrainStillAnswersAdmittedLines) {
     std::lock_guard<std::mutex> lock(mu);
     held.push_back(line);
     cv.notify_all();
+    return std::nullopt;
   });
 
   Client client(fixture.port());
@@ -412,8 +426,8 @@ TEST(EventLoopTest, DrainStillAnswersAdmittedLines) {
     admitted = held[0];
   }
 
-  fixture.loop().BeginDrain();  // no new reads or accepts...
-  fixture.loop().Send(admitted.conn, admitted.seq, "answered");
+  fixture.group().BeginDrain();  // no new reads or accepts...
+  fixture.Send(admitted, "answered");
   EXPECT_EQ(client.ReadLine(), "answered");  // ...but owed answers flush
 }
 
@@ -422,7 +436,8 @@ TEST(EventLoopTest, DrainStillAnswersAdmittedLines) {
 // readiness event, and consumes a read's lines in linear time.
 TEST(EventLoopTest, BlankLineFloodDoesNotStarveOtherConnections) {
   LoopFixture fixture([&fixture](const net::EventLoop::Line& line) {
-    fixture.loop().Send(line.conn, line.seq, "echo:" + line.text);
+    fixture.Send(line, "echo:" + line.text);
+    return std::nullopt;
   });
   Client flooder(fixture.port());
   Client probe(fixture.port());
@@ -477,8 +492,8 @@ TEST(EventLoopTest, PeerThatNeverReadsStopsBeingRead) {
   std::atomic<size_t> seen{0};
   LoopFixture fixture([&](const net::EventLoop::Line& line) {
     seen.fetch_add(1);
-    fixture.loop().Send(line.conn, line.seq,
-                        body + ":" + line.text.substr(0, line.text.find(' ')));
+    fixture.Send(line, body + ":" + line.text.substr(0, line.text.find(' ')));
+    return std::nullopt;
   });
 
   // 2 KiB request lines, so the 200 of them span several 64 KiB reads.
@@ -513,8 +528,8 @@ TEST(EventLoopTest, PeerThatNeverReadsStopsBeingRead) {
 // response for a live client.
 TEST(EventLoopTest, SurvivesClientChurn) {
   LoopFixture fixture([&fixture](const net::EventLoop::Line& line) {
-    fixture.loop().Send(line.conn, line.seq,
-                        std::string(256, '#') + ":" + line.text);
+    fixture.Send(line, std::string(256, '#') + ":" + line.text);
+    return std::nullopt;
   });
 
   constexpr size_t kThreads = 4;
@@ -543,6 +558,232 @@ TEST(EventLoopTest, SurvivesClientChurn) {
     }
   }
   EXPECT_EQ(good.load(), stayed);
+}
+
+// True when `fd` has bytes to read within `millis`.
+bool Readable(int fd, int millis) {
+  pollfd p{};
+  p.fd = fd;
+  p.events = POLLIN;
+  return ::poll(&p, 1, millis) > 0;
+}
+
+// A line answered on the spot waits in the reorder buffer behind an
+// earlier line that another thread answers later: pipelined miss, hit,
+// miss on one connection come back in request order.
+TEST(EventLoopTest, SpotAnswerWaitsBehindEarlierHandedOffLine) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<net::EventLoop::Line> held;
+  LoopFixture fixture(
+      [&](const net::EventLoop::Line& line) -> std::optional<std::string> {
+        if (line.text.rfind("hit:", 0) == 0) return "spot:" + line.text;
+        std::lock_guard<std::mutex> lock(mu);
+        held.push_back(line);
+        cv.notify_all();
+        return std::nullopt;
+      });
+
+  Client client(fixture.port());
+  client.Send("miss:a\nhit:b\nmiss:c\n");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return held.size() == 2; });
+  }
+  EXPECT_EQ(held[0].seq, 0u);
+  EXPECT_EQ(held[1].seq, 2u);
+  // The spot answer for seq 1 is ready, but seq 0 is not.
+  EXPECT_FALSE(Readable(client.fd, 50)) << "released ahead of seq 0";
+  fixture.Send(held[1], "worker:" + held[1].text);
+  EXPECT_FALSE(Readable(client.fd, 50)) << "released ahead of seq 0";
+  fixture.Send(held[0], "worker:" + held[0].text);
+
+  EXPECT_EQ(client.ReadLine(), "worker:miss:a");
+  EXPECT_EQ(client.ReadLine(), "spot:hit:b");
+  EXPECT_EQ(client.ReadLine(), "worker:miss:c");
+  EXPECT_EQ(fixture.registry().CounterValue("net.responses_out"), 3u);
+}
+
+// Spot answers held in the reorder buffer behind a handed-off line count
+// toward the owed bytes that stop reads: a peer whose first line is slow
+// cannot make the loop buffer every later answer. Once the slow line is
+// answered, everything flows, in order.
+TEST(EventLoopTest, SpotAnswersHeldBehindASlowLineStopReads) {
+  constexpr size_t kLines = 200;
+  const std::string body(64 * 1024, 's');
+  std::atomic<size_t> seen{0};
+  std::mutex mu;
+  std::vector<net::EventLoop::Line> held;
+  LoopFixture fixture(
+      [&](const net::EventLoop::Line& line) -> std::optional<std::string> {
+        seen.fetch_add(1);
+        if (line.seq == 0) {
+          std::lock_guard<std::mutex> lock(mu);
+          held.push_back(line);
+          return std::nullopt;
+        }
+        return body + ":" + line.text.substr(0, line.text.find(' '));
+      });
+
+  // 2 KiB request lines, so the 200 of them span several 64 KiB reads.
+  Client client(fixture.port());
+  std::string requests;
+  for (size_t i = 0; i < kLines; ++i) {
+    std::string line = "line-" + std::to_string(i) + " ";
+    requests += line + std::string(2048 - line.size(), '.') + "\n";
+  }
+  client.Send(requests);
+
+  size_t last = 0;
+  for (int settled = 0; settled < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    size_t now = seen.load();
+    settled = now == last && now > 0 ? settled + 1 : 0;
+    last = now;
+  }
+  EXPECT_LT(seen.load(), kLines) << "the loop kept reading while the "
+                                    "answers it owed piled up";
+  EXPECT_FALSE(Readable(client.fd, 0));
+
+  net::EventLoop::Line slow;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(held.size(), 1u);
+    slow = held[0];
+  }
+  fixture.Send(slow, "slow");
+  EXPECT_EQ(client.ReadLine(), "slow");
+  for (size_t i = 1; i < kLines; ++i) {
+    ASSERT_EQ(client.ReadLine(), body + ":line-" + std::to_string(i));
+  }
+  EXPECT_EQ(seen.load(), kLines);
+}
+
+// Loop 0 hands accepted connections round-robin over every loop, itself
+// included, so 8 connections to a 4-loop group land 2 on each.
+TEST(EventLoopGroupTest, ConnectionsLandOnDifferentLoops) {
+  constexpr size_t kLoops = 4;
+  LoopFixture fixture(
+      [](const net::EventLoop::Line& line) -> std::optional<std::string> {
+        return std::to_string(line.loop);
+      },
+      net::EventLoopOptions{}, kLoops);
+
+  std::vector<size_t> per_loop(kLoops, 0);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (size_t i = 0; i < 2 * kLoops; ++i) {
+    clients.push_back(std::make_unique<Client>(fixture.port()));
+    clients.back()->Send("which\n");
+    size_t loop = std::stoul(clients.back()->ReadLine());
+    ASSERT_LT(loop, kLoops);
+    ++per_loop[loop];
+  }
+  EXPECT_EQ(per_loop, std::vector<size_t>(kLoops, 2));
+  // Each connection keeps its loop for every later line.
+  for (const auto& client : clients) {
+    client->Send("again\n");
+    ASSERT_LT(std::stoul(client->ReadLine()), kLoops);
+  }
+}
+
+// The connection cap counts the open connections of every loop, and the
+// net.connections gauge reads that total as connections come and go.
+TEST(EventLoopGroupTest, ConnectionCapHoldsAcrossLoops) {
+  net::EventLoopOptions options;
+  options.max_connections = 3;
+  LoopFixture fixture(
+      [](const net::EventLoop::Line& line) -> std::optional<std::string> {
+        return "pong:" + std::to_string(line.loop);
+      },
+      options, 4);
+  auto open = [&] {
+    return fixture.registry().GaugeValue("net.connections");
+  };
+  auto wait_open = [&](double want) {
+    for (int waited_ms = 0; open() != want && waited_ms < 5000; ++waited_ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return open();
+  };
+
+  std::vector<std::unique_ptr<Client>> clients;
+  std::set<std::string> loops;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(std::make_unique<Client>(fixture.port()));
+    clients.back()->Send("ping\n");
+    std::string reply = clients.back()->ReadLine();
+    ASSERT_EQ(reply.rfind("pong:", 0), 0u) << reply;  // admitted
+    loops.insert(reply);
+  }
+  EXPECT_EQ(loops.size(), 3u);  // three loops, one connection each
+  EXPECT_EQ(open(), 3.0);
+
+  Client over(fixture.port());
+  EXPECT_EQ(over.ReadLine(), "");  // the fourth loop is idle, the cap full
+  EXPECT_EQ(fixture.registry().CounterValue("net.conn_rejected"), 1u);
+  EXPECT_EQ(open(), 3.0);
+
+  clients[1].reset();  // a close on one loop frees a slot for any loop
+  EXPECT_EQ(wait_open(2.0), 2.0);
+  Client again(fixture.port());
+  again.Send("ping\n");
+  EXPECT_EQ(again.ReadLine().rfind("pong:", 0), 0u);
+  EXPECT_EQ(open(), 3.0);
+  EXPECT_EQ(fixture.registry().CounterValue("net.accepted"), 4u);
+
+  clients.clear();
+  again.Send("ping\n");
+  EXPECT_EQ(again.ReadLine().rfind("pong:", 0), 0u);
+  EXPECT_EQ(wait_open(1.0), 1.0);
+}
+
+// BeginDrain and Stop reach every loop, and each loop still answers and
+// flushes every line it admitted before it exits.
+TEST(EventLoopGroupTest, DrainAndStopAnswerEveryLoopsAdmittedLines) {
+  constexpr size_t kLoops = 4;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<net::EventLoop::Line> held;
+  LoopFixture fixture(
+      [&](const net::EventLoop::Line& line) {
+        std::lock_guard<std::mutex> lock(mu);
+        held.push_back(line);
+        cv.notify_all();
+        return std::nullopt;
+      },
+      net::EventLoopOptions{}, kLoops);
+
+  std::vector<std::unique_ptr<Client>> clients;
+  for (size_t i = 0; i < kLoops; ++i) {
+    clients.push_back(std::make_unique<Client>(fixture.port()));
+    clients.back()->Send("line-" + std::to_string(i) + "\n");
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return held.size() == i + 1; });
+  }
+  std::set<size_t> loops;
+  for (const net::EventLoop::Line& line : held) loops.insert(line.loop);
+  EXPECT_EQ(loops.size(), kLoops);
+
+  fixture.group().BeginDrain();
+  fixture.Send(held[0], "done:" + held[0].text);
+  fixture.Send(held[1], "done:" + held[1].text);
+  EXPECT_EQ(clients[0]->ReadLine(), "done:line-0");
+  EXPECT_EQ(clients[1]->ReadLine(), "done:line-1");
+
+  // Stop waits for the two lines still owed before the loops exit.
+  std::thread stopper([&] { fixture.group().Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  fixture.Send(held[2], "done:" + held[2].text);
+  fixture.Send(held[3], "done:" + held[3].text);
+  stopper.join();
+  for (size_t i = 0; i < kLoops; ++i) {
+    if (i >= 2) {
+      EXPECT_EQ(clients[i]->ReadLine(), "done:line-" + std::to_string(i));
+    }
+    EXPECT_EQ(clients[i]->ReadLine(), "");  // then closed
+  }
+  EXPECT_EQ(fixture.registry().CounterValue("net.responses_dropped"), 0u);
+  EXPECT_EQ(fixture.registry().GaugeValue("net.connections"), 0.0);
 }
 
 }  // namespace

@@ -1009,6 +1009,40 @@ TEST_F(ServeTest, ExpiredDeadlineRejectsMemoizedAlign) {
             "align: deadline expired before lookup");
 }
 
+// AlignBatchFromMemo answers exactly what AlignBatch answers from the
+// memo alone, and declines — without a top-k — wherever AlignBatch would
+// fail or compute a row.
+TEST_F(ServeTest, AlignBatchFromMemoAnswersOnlyMemoizedRows) {
+  obs::Registry registry;
+  serve::EngineOptions options;
+  options.registry = &registry;
+  auto engine = serve::QueryEngine::Open(WriteBundle(), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<kg::AlignedPair> pairs = Pipeline().repaired.SortedPairs();
+  ASSERT_GE(pairs.size(), 2u);
+  std::string hot = Pipeline().dataset.kg1.EntityName(pairs[0].source);
+  std::string cold = Pipeline().dataset.kg1.EntityName(pairs[1].source);
+  const serve::Deadline none = serve::Deadline::None();
+
+  EXPECT_FALSE((*engine)->AlignBatchFromMemo({hot}, none).has_value());
+  EXPECT_EQ(registry.CounterValue("index.exact.queries"), 0u);
+  auto want = (*engine)->AlignBatch({hot}, none);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  auto got = (*engine)->AlignBatchFromMemo({hot, hot}, none);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->size(), 2u);
+  ExpectSameAlign((*got)[0], (*want)[0]);
+  ExpectSameAlign((*got)[1], (*want)[0]);
+  EXPECT_FALSE((*engine)->AlignBatchFromMemo({hot, cold}, none).has_value());
+  EXPECT_FALSE(
+      (*engine)->AlignBatchFromMemo({hot, "zh/NoSuchEntity"}, none).has_value());
+  EXPECT_FALSE((*engine)->AlignBatchFromMemo({}, none).has_value());
+  EXPECT_FALSE(
+      (*engine)->AlignBatchFromMemo({hot}, serve::Deadline(1e-12)).has_value());
+  EXPECT_EQ(registry.CounterValue("index.exact.queries"), 1u);
+}
+
 TEST_F(ServeTest, NeighborsAndRepairStatus) {
   auto engine =
       serve::QueryEngine::Open(WriteBundle(), serve::EngineOptions{});
@@ -1684,7 +1718,9 @@ TEST_F(AsyncServerTest, FullQueueRejectsImmediatelyWithUnavailable) {
   options.workers = 1;
   options.queue_capacity = 2;
   // A gate that parks the single worker on its first dequeue, so the
-  // queue's fill level is fully under the test's control.
+  // queue's fill level is fully under the test's control. The hook runs
+  // before that first align does, so the memo stays cold and every line
+  // below is a miss that reaches the queue rather than the loop's memo.
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool worker_parked = false;
@@ -1764,15 +1800,21 @@ TEST_F(AsyncServerTest, ExpiredRequestIsShedAfterDequeueBeforeParsing) {
   };
   StartAsync(options);
 
-  kg::AlignedPair pair = ServedPair();
-  std::string request = StrFormat("{\"op\":\"align\",\"entity\":\"%s\"}",
-                                  Pipeline().dataset.kg1.EntityName(
-                                      pair.source).c_str());
+  // Three distinct entities nothing has aligned yet: each line is a memo
+  // miss, so each reaches the queue. (A repeat of the first entity could
+  // be answered from the memo on the loop, and nothing would be shed.)
+  std::vector<kg::AlignedPair> pairs = Pipeline().repaired.SortedPairs();
+  ASSERT_GE(pairs.size(), 3u);
+  auto align_request = [&](size_t i) {
+    return StrFormat("{\"op\":\"align\",\"entity\":\"%s\"}",
+                     Pipeline().dataset.kg1.EntityName(
+                         pairs[i].source).c_str());
+  };
 
   AsyncClient client(async_->port());
   ASSERT_TRUE(client.connected());
-  ASSERT_TRUE(client.Send(request));
-  ASSERT_TRUE(client.Send(request));
+  ASSERT_TRUE(client.Send(align_request(0)));
+  ASSERT_TRUE(client.Send(align_request(1)));
 
   std::string first = client.ReadLine();
   EXPECT_EQ(first.rfind("{\"ok\":true,\"op\":\"align\"", 0), 0u) << first;
@@ -1785,7 +1827,7 @@ TEST_F(AsyncServerTest, ExpiredRequestIsShedAfterDequeueBeforeParsing) {
   EXPECT_EQ(registry_.CounterValue("serve.deadline_exceeded"), 1u);
   // A fresh request's deadline starts at its own admission: the server
   // recovered and serves normally.
-  std::string third = client.Ask(request);
+  std::string third = client.Ask(align_request(2));
   EXPECT_EQ(third.rfind("{\"ok\":true,\"op\":\"align\"", 0), 0u) << third;
   std::string stats = client.Ask("{\"op\":\"stats\"}");
   EXPECT_NE(stats.find("\"shed\":1"), std::string::npos) << stats;
@@ -1900,6 +1942,113 @@ TEST_F(AsyncServerTest, HotSwapUnderConcurrentLoadDropsNothing) {
   EXPECT_GT(answered.load(), 0);
   EXPECT_EQ(registry_.CounterValue("serve.snapshot.swaps"), 5u);
   EXPECT_EQ(registry_.CounterValue("serve.malformed"), 0u);
+}
+
+// A single-entity align whose row the version's memo holds is answered
+// on the loop that framed it: it never reaches a worker, and it counts
+// exactly what HandleLine counts for the same line.
+TEST_F(AsyncServerTest, MemoHitAlignsAnswerOnTheLoopAndCountOnce) {
+  serve::AsyncServerOptions options;
+  std::atomic<int> dequeued{0};
+  options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  StartAsync(options);
+  std::string request = StrFormat(
+      "{\"op\":\"align\",\"entity\":\"%s\"}",
+      Pipeline().dataset.kg1.EntityName(ServedPair().source).c_str());
+  auto reference_engine = serve::QueryEngine::Open(
+      (dir_ / "bundle").string(), serve::EngineOptions{});
+  ASSERT_TRUE(reference_engine.ok()) << reference_engine.status().ToString();
+  serve::Server reference(reference_engine->get(), serve::ServerOptions{});
+  std::string expected = reference.HandleLine(request);
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  // The first align misses the memo: a worker runs its top-k.
+  ASSERT_EQ(client.Ask(request), expected);
+  EXPECT_EQ(dequeued.load(), 1);
+  EXPECT_EQ(registry_.CounterValue("index.exact.queries"), 1u);
+
+  auto latency_count = [&] {
+    return registry_.HistogramSnapshot("serve.latency_ms").count;
+  };
+  uint64_t requests = registry_.CounterValue("serve.requests");
+  uint64_t aligns = registry_.CounterValue("serve.op.align");
+  uint64_t ok = registry_.CounterValue("serve.ok");
+  uint64_t samples = latency_count();
+  constexpr uint64_t kHits = 25;
+  for (uint64_t i = 0; i < kHits; ++i) ASSERT_TRUE(client.Send(request));
+  for (uint64_t i = 0; i < kHits; ++i) ASSERT_EQ(client.ReadLine(), expected);
+
+  EXPECT_EQ(dequeued.load(), 1) << "a memo hit reached a worker";
+  EXPECT_EQ(registry_.CounterValue("serve.requests"), requests + kHits);
+  EXPECT_EQ(registry_.CounterValue("serve.op.align"), aligns + kHits);
+  EXPECT_EQ(registry_.CounterValue("serve.ok"), ok + kHits);
+  EXPECT_EQ(latency_count(), samples + kHits);
+  EXPECT_EQ(registry_.CounterValue("index.exact.queries"), 1u);
+  EXPECT_EQ(registry_.CounterValue("serve.errors"), 0u);
+  EXPECT_EQ(registry_.CounterValue("serve.malformed"), 0u);
+}
+
+// Everything but a memo-hit single-entity align still goes through the
+// queue to a worker: a miss, a batched align (even of memoized rows), an
+// explain, and an align whose name does not resolve.
+TEST_F(AsyncServerTest, MissesBatchesAndExplainsStillReachWorkers) {
+  serve::AsyncServerOptions options;
+  std::atomic<int> dequeued{0};
+  options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  StartAsync(options);
+  kg::AlignedPair pair = ServedPair();
+  std::string source = Pipeline().dataset.kg1.EntityName(pair.source);
+  std::string target = Pipeline().dataset.kg2.EntityName(pair.target);
+  std::string align =
+      StrFormat("{\"op\":\"align\",\"entity\":\"%s\"}", source.c_str());
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  int expected = 0;
+  auto expect_worker = [&](const std::string& request) {
+    std::string response = client.Ask(request);
+    EXPECT_EQ(response.rfind("{\"ok\":", 0), 0u) << response;
+    EXPECT_EQ(dequeued.load(), ++expected) << "request: " << request;
+  };
+  expect_worker(align);  // miss
+  expect_worker(StrFormat("{\"op\":\"align\",\"entities\":\"%s\"}",
+                          source.c_str()));
+  expect_worker(StrFormat(
+      "{\"op\":\"explain\",\"source\":\"%s\",\"target\":\"%s\"}",
+      source.c_str(), target.c_str()));
+  expect_worker("{\"op\":\"align\",\"entity\":\"zh/NoSuchEntity\"}");
+  // The row is memoized now, so the single-entity form stays on the loop.
+  EXPECT_EQ(client.Ask(align).rfind("{\"ok\":true,\"op\":\"align\"", 0), 0u);
+  EXPECT_EQ(dequeued.load(), expected);
+}
+
+// A swap between two aligns of one entity: the second is answered from
+// the new version (its memo starts empty, so a worker fills it), byte-equal
+// to HandleLine there, and later hits come from the new version's memo.
+TEST_F(AsyncServerTest, SwapBetweenAlignsAnswersFromTheNewVersion) {
+  StartAsync();
+  std::string alt = WriteAltBundle();
+  std::string request = StrFormat(
+      "{\"op\":\"align\",\"entity\":\"%s\"}",
+      Pipeline().dataset.kg1.EntityName(ServedPair().source).c_str());
+  serve::Server served(engine_.get(), serve::ServerOptions{});
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  std::string before = client.Ask(request);
+  ASSERT_EQ(client.Ask(request), before);  // a memo hit on the old version
+  std::string swapped = client.Ask(StrFormat(
+      "{\"op\":\"load_snapshot\",\"dir\":\"%s\"}",
+      serve::JsonEscape(alt).c_str()));
+  ASSERT_EQ(swapped.rfind("{\"ok\":true", 0), 0u) << swapped;
+
+  std::string after = client.Ask(request);
+  EXPECT_EQ(after, served.HandleLine(request));
+  EXPECT_NE(after, before)
+      << "the two fixture bundles must disagree for this test to bite";
+  EXPECT_EQ(client.Ask(request), after);  // a memo hit on the new version
+  EXPECT_EQ(registry_.CounterValue("index.exact.queries"), 2u);
 }
 
 }  // namespace

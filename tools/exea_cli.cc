@@ -61,6 +61,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <iostream>
@@ -95,6 +96,7 @@
 #include "util/string_util.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -197,11 +199,15 @@ const char* SubcommandHelp(const std::string& command) {
            "  the table is large enough); the live choice is echoed in\n"
            "  every align response and the stats op.\n"
            "  With --port the concurrent async core serves: --workers\n"
-           "  request threads behind a --queue-bounded admission queue\n"
-           "  (full queue => UNAVAILABLE), at most --max-conns clients;\n"
-           "  each request, align included, runs whole on the worker\n"
-           "  that dequeued it, and responses are byte-identical to the\n"
-           "  stdin path. A load_snapshot hot swap keeps only the new\n"
+           "  event loops (connections spread round-robin over them) and\n"
+           "  as many request threads behind a --queue-bounded admission\n"
+           "  queue (full queue => UNAVAILABLE), at most --max-conns\n"
+           "  clients. An align the snapshot's memo already holds is\n"
+           "  answered on its connection's loop; every other request\n"
+           "  runs whole on the worker that dequeued it. Responses are\n"
+           "  byte-identical to the stdin path. --workers is 1..256;\n"
+           "  --workers, --queue and --max-conns must be positive\n"
+           "  integers. A load_snapshot hot swap keeps only the new\n"
            "  version; in-flight requests retain the one they started on\n"
            "  until they drain.\n";
   }
@@ -658,6 +664,41 @@ void ReadSizeFlag(const Flags& flags, const char* name, size_t* value) {
       flags.GetInt(name, static_cast<int64_t>(*value)));
 }
 
+// The most event loops and workers `--workers` may ask for. Checked
+// before any thread starts, so a typo cannot spawn thousands of threads.
+constexpr int64_t kMaxWorkers = 256;
+
+// Sets `*value` from the count flag `name` when it is given. The value
+// must be a whole number in [1, max]: zero, a negative, text or a value
+// past `max` is an error naming the flag, never a silent default or a
+// wrapped size_t.
+Status ReadCountFlag(const Flags& flags, const char* name, int64_t max,
+                     size_t* value) {
+  if (!flags.Has(name)) return Status::Ok();
+  int64_t parsed = 0;
+  Status status = util::ParseInt64(flags.GetString(name, ""), 1, max, &parsed);
+  if (!status.ok()) {
+    std::string allowed =
+        max == INT64_MAX ? "a positive integer"
+                         : StrFormat("an integer in [1, %lld]",
+                                     static_cast<long long>(max));
+    return Status::InvalidArgument(StrFormat("--%s must be %s: ", name,
+                                             allowed.c_str()) +
+                                   status.message());
+  }
+  *value = static_cast<size_t>(parsed);
+  return Status::Ok();
+}
+
+// The async server's count flags serve and bench-load share: --workers
+// (worker threads and event loops) and --queue.
+Status ReadAsyncCountFlags(const Flags& flags,
+                           serve::AsyncServerOptions* options) {
+  EXEA_RETURN_IF_ERROR(
+      ReadCountFlag(flags, "workers", kMaxWorkers, &options->workers));
+  return ReadCountFlag(flags, "queue", INT64_MAX, &options->queue_capacity);
+}
+
 // ReadSizeFlag for a millisecond flag stored as seconds.
 void ReadMillisFlag(const Flags& flags, const char* name, double* seconds) {
   *seconds = static_cast<double>(flags.GetInt(
@@ -678,6 +719,13 @@ serve::EngineOptions ReadEngineFlags(const Flags& flags) {
 int CmdServe(const Flags& flags) {
   std::string bundle_dir = flags.GetString("bundle", "");
   if (bundle_dir.empty()) return Fail("--bundle is required");
+  serve::AsyncServerOptions async_options;
+  Status counts = ReadAsyncCountFlags(flags, &async_options);
+  if (counts.ok()) {
+    counts = ReadCountFlag(flags, "max-conns", INT64_MAX,
+                           &async_options.max_connections);
+  }
+  if (!counts.ok()) return Fail(counts.message());
   auto engine = serve::QueryEngine::Open(bundle_dir, ReadEngineFlags(flags));
   if (!engine.ok()) return Fail(engine.status().ToString());
   {
@@ -697,11 +745,7 @@ int CmdServe(const Flags& flags) {
   ReadMillisFlag(flags, "deadline-ms", &server_options.deadline_seconds);
   if (flags.Has("port")) {
     int port = static_cast<int>(flags.GetInt("port", 0));
-    serve::AsyncServerOptions async_options;
     async_options.server = server_options;
-    ReadSizeFlag(flags, "workers", &async_options.workers);
-    ReadSizeFlag(flags, "queue", &async_options.queue_capacity);
-    ReadSizeFlag(flags, "max-conns", &async_options.max_connections);
     serve::AsyncServer server(engine->get(), async_options);
     Status status = server.Start(port);
     if (!status.ok()) return Fail(status.ToString());
@@ -930,6 +974,9 @@ int CmdBenchLoad(const Flags& flags) {
   if (clients == 0 || requests == 0 || pipeline == 0) {
     return Fail("--clients/--requests/--pipeline must all be positive");
   }
+  serve::AsyncServerOptions async_options;
+  Status counts = ReadAsyncCountFlags(flags, &async_options);
+  if (!counts.ok()) return Fail(counts.message());
 
   // Two modes: attach to a running server (--port; stats op only, the
   // bench knows no entity names), or self-host the async core from a
@@ -979,11 +1026,8 @@ int CmdBenchLoad(const Flags& flags) {
       return Fail("bundle has no aligned pairs for --op " + op);
     }
 
-    serve::AsyncServerOptions async_options;
     ReadMillisFlag(flags, "deadline-ms",
                    &async_options.server.deadline_seconds);
-    ReadSizeFlag(flags, "workers", &async_options.workers);
-    ReadSizeFlag(flags, "queue", &async_options.queue_capacity);
     hosted = std::make_unique<serve::AsyncServer>(engine.get(),
                                                   async_options);
     Status started = hosted->Start(0);
