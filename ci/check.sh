@@ -36,7 +36,12 @@
 #      answered on the event loops beside worker answers and swaps
 #      (serve_test, MemoHitAlignsAnswerOnTheLoopAndCountOnce,
 #      MissesBatchesAndExplainsStillReachWorkers and
-#      SwapBetweenAlignsAnswersFromTheNewVersion), the event loop's
+#      SwapBetweenAlignsAnswersFromTheNewVersion), each line decoded once
+#      on its loop and the typed request carried to a worker, undecodable
+#      lines answered on the loop and deadlines counted from admission
+#      (serve_test, UndecodableLinesAnswerOnTheLoopLikeHandleLine,
+#      DeadlineMsCountsFromAdmission and
+#      ExpiredRequestIsShedAfterDequeueBeforeEngineWork), the event loop's
 #      fairness and backpressure under a flooding or non-reading peer
 #      (net_test, BlankLineFloodDoesNotStarveOtherConnections,
 #      PeerThatNeverReadsStopsBeingRead and

@@ -27,6 +27,10 @@ constexpr uint64_t kFirstConnId = 3;
 constexpr int kMaxEvents = 64;
 constexpr int kPollMillis = 100;  // bounds drain/stop latency
 
+// After Stop(), each loop keeps running up to this long to flush pending
+// response bytes to slow readers before closing them.
+constexpr double kStopFlushSeconds = 5.0;
+
 }  // namespace
 
 EventLoop::EventLoop(size_t index, const EventLoopOptions& options,
@@ -168,7 +172,7 @@ void EventLoop::Run() {
         }
       }
       if (flushed ||
-          stop_timer_.ElapsedSeconds() > options_.stop_flush_seconds) {
+          stop_timer_.ElapsedSeconds() > kStopFlushSeconds) {
         break;
       }
     }

@@ -78,10 +78,6 @@ struct EventLoopOptions {
   // which a connection stops being read.
   size_t max_line_bytes = 1 << 20;
 
-  // After Stop(), each loop keeps running up to this long to flush
-  // pending response bytes to slow readers before closing them.
-  double stop_flush_seconds = 5.0;
-
   // Where the loops register their metrics (net.* counters and the
   // net.connections gauge, shared by every loop). nullptr →
   // obs::Registry::Global().
@@ -263,7 +259,7 @@ class EventLoopGroup {
   void BeginDrain();
 
   // Drains every loop, waits for each to flush its pending responses
-  // (bounded by stop_flush_seconds) and joins the threads. Idempotent;
+  // (bounded by a 5 s grace period) and joins the threads. Idempotent;
   // call from outside the loops.
   void Stop();
 

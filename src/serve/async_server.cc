@@ -45,20 +45,16 @@ int AsyncServer::port() const {
 }
 
 std::optional<std::string> AsyncServer::OnLine(net::EventLoop::Line&& line) {
-  // Runs on the loop thread: admission decisions, plus the one answer
-  // cheap enough to make here — a single-entity align the memo holds.
-  // Every answer reuses Server's code, so bytes and counters match the
-  // stdin path exactly.
+  // Runs on the loop thread: the line's one decode, the admission
+  // decisions, and the answers that need no engine work. Every answer
+  // reuses Server's code, so bytes and counters match the stdin path.
   if (line.oversized) return server_.RejectOversized(line.observed_bytes);
-  std::optional<std::string> answer = server_.AnswerFromMemo(line.text);
+  StatusOr<Request> request = server_.Decode(line.text);
+  if (!request.ok()) return server_.RejectUndecodable(request.status());
+  std::optional<std::string> answer = server_.AnswerFromMemo(*request);
   if (answer.has_value()) return answer;
-  Request request;
-  request.loop = line.loop;
-  request.conn = line.conn;
-  request.seq = line.seq;
-  request.line = std::move(line.text);
-  request.deadline = Deadline(options_.server.deadline_seconds);
-  if (!admission_queue_.TryPush(std::move(request))) {
+  if (!admission_queue_.TryPush(Admitted{line.loop, line.conn, line.seq,
+                                         std::move(*request), WallTimer()})) {
     return server_.RejectQueueFull();
   }
   queue_depth_.Set(static_cast<double>(admission_queue_.size()));
@@ -66,17 +62,17 @@ std::optional<std::string> AsyncServer::OnLine(net::EventLoop::Line&& line) {
 }
 
 void AsyncServer::WorkerLoop() {
-  Request request;
-  while (admission_queue_.Pop(&request)) {
+  Admitted admitted;
+  while (admission_queue_.Pop(&admitted)) {
     queue_depth_.Set(static_cast<double>(admission_queue_.size()));
     if (options_.worker_hook_for_test) options_.worker_hook_for_test();
-    // Shed-before-work: a deadline that expired during the queue wait is
-    // answered without parsing or touching the engine.
+    // Shed-before-work: a request whose deadline expired during the queue
+    // wait is answered without touching the engine.
     std::string response =
-        request.deadline.Expired()
-            ? server_.ShedExpired(request.queued.ElapsedMillis())
-            : server_.HandleLine(request.line);
-    loops_->Send(request.loop, request.conn, request.seq,
+        admitted.request.deadline.Expired()
+            ? server_.ShedExpired(admitted.queued.ElapsedMillis())
+            : server_.Answer(admitted.request);
+    loops_->Send(admitted.loop, admitted.conn, admitted.seq,
                  std::move(response));
     if (server_.shutdown_requested()) {
       // Stop admitting (drain the loops, close the queue) and wake

@@ -2,23 +2,22 @@
 //
 //   event loops ──► bounded MPMC queue ──► worker pool ──┐
 //   (net/EventLoopGroup) (net/BoundedQueue)  (util/ThreadPool)
-//     ▲  │ memo-hit align: answered on the loop            │
+//     ▲  │ decode; undecodable line or memo hit: answered  │
 //     └──┴──────────── Send(loop, conn, seq, response) ◄───┘
 //
 // `workers` event loops, one thread each, own the sockets: loop 0 accepts
 // and hands each connection round-robin to a loop, which frames its
 // NDJSON request lines (partial reads, oversized-line draining) and
-// writes its responses back in request order. A line that is a
+// writes its responses back in request order. The loop decodes each line
+// once (Server::Decode counts it and starts its deadline) and answers
+// what needs no engine work: a line that does not decode, and a
 // single-entity align whose row the current snapshot version's align
-// memo already holds is answered on the loop that framed it
-// (Server::AnswerFromMemo): one row's render, no top-k, no queue and no
-// thread hop. Every other line is admitted into a bounded queue; workers
-// pop lines, run them through the ordinary Server::HandleLine, and post
-// the response back to the loop that owns the connection. Either way the
-// bytes and traffic counters are identical to the stdin path by
-// construction. An align the memo cannot answer runs its own top-k on
-// the worker that dequeued it: there is no cross-request batching and no
-// hold.
+// memo holds (Server::AnswerFromMemo: one row's render, no top-k, no
+// queue, no thread hop). Workers pop every other request from a bounded
+// queue and run it through Server::Answer, the tail of the stdin path's
+// HandleLine, so bytes and counters match it by construction. An align
+// the memo cannot answer runs its own top-k on the worker that dequeued
+// it: there is no cross-request batching and no hold.
 //
 // Admission control, in the order a request meets it:
 //   1. max_connections — excess connects are closed at accept
@@ -28,10 +27,11 @@
 //   3. queue_capacity — a full queue rejects immediately with
 //      UNAVAILABLE (serve.rejected); a loop never blocks on a
 //      saturated worker pool,
-//   4. deadline shed — a queued request's deadline starts at admission;
+//   4. deadline shed — a request's deadline starts at admission (decode);
 //      one that expires while queued is shed right after dequeue, before
-//      any parsing or compute (serve.deadline_exceeded + serve.shed).
-// A memo-hit align never reaches 3 or 4: it is answered before the queue.
+//      any engine work (serve.deadline_exceeded + serve.shed).
+// The loop answers an undecodable line or a memo-hit align before 3.
+// serve.op.<op> counts at decode, so it includes rejections and sheds.
 //
 // Shutdown ({"op":"shutdown"} or Shutdown()): the loops stop accepting
 // and reading, the queue closes, workers drain every admitted request,
@@ -120,14 +120,13 @@ class AsyncServer {
   Server& server() { return server_; }
 
  private:
-  // One admitted request line traveling loop → queue → worker.
-  struct Request {
+  // One decoded request traveling loop → queue → worker.
+  struct Admitted {
     size_t loop = 0;  // the loop that owns the connection
     uint64_t conn = 0;
     uint64_t seq = 0;
-    std::string line;
-    Deadline deadline = Deadline::None();  // started at admission
-    WallTimer queued;                      // measures the queue wait
+    Request request;  // its deadline started at decode, on the loop
+    WallTimer queued;  // measures the queue wait
   };
 
   // Runs on the loop thread that framed `line`: its response when the
@@ -139,7 +138,7 @@ class AsyncServer {
   AsyncServerOptions options_;
   obs::Registry* registry_;  // never null; resolved like Server's
   Server server_;
-  net::BoundedQueue<Request> admission_queue_;
+  net::BoundedQueue<Admitted> admission_queue_;
   std::unique_ptr<net::EventLoopGroup> loops_;
   std::unique_ptr<util::ThreadPool> worker_pool_;
   obs::Gauge& queue_depth_;

@@ -213,26 +213,6 @@ void AppendAlignResultJson(const AlignResult& result, size_t max_candidates,
 
 using Fields = std::map<std::string, std::string>;
 
-// The protocol's ops. kNone: the line names no op (absent or empty "op");
-// kUnknown: any other name. Each has one serve.op.<name> counter, so
-// hostile op names cannot grow the registry.
-enum class Op { kNone, kUnknown, kAlign, kExplain, kNeighbors, kRepairStatus,
-                kStats, kLoadSnapshot, kEngineStatus, kShutdown };
-
-// One request line decoded into typed fields; only `op`'s fields are set.
-struct Request {
-  Op op = Op::kNone;
-  Deadline deadline = Deadline::None();  // started at decode time
-  std::vector<std::string> entities;     // align: "entity" or "entities"
-  bool batched = false;                  // align: "entities" was given
-  int32_t top_k = 0;  // align "k" in [1, 1000]; 0 = the engine's top_k
-  std::string entity;  // neighbors
-  int32_t side = 1;    // neighbors "side": 1 or 2
-  std::string source;  // explain, repair_status
-  std::string target;  // explain, repair_status
-  std::string dir;     // load_snapshot
-};
-
 // Wire names indexed by Op; the per-op counter is serve.op.<name>.
 constexpr const char* kOpNames[] = {
     "(none)", "(unknown)", "align",         "explain",       "neighbors",
@@ -536,14 +516,12 @@ std::string Server::RejectOversized(size_t observed_bytes) {
 }
 
 std::string Server::RejectQueueFull() {
-  requests_.Increment();
   rejected_.Increment();
   return CountError(
       Status::Unavailable("server overloaded: request queue is full"));
 }
 
 std::string Server::ShedExpired(double queue_wait_ms) {
-  requests_.Increment();
   shed_.Increment();
   latency_ms_.Record(queue_wait_ms);
   return CountError(Status::DeadlineExceeded(
@@ -558,48 +536,22 @@ std::string Server::CountError(const Status& status) {
   return ErrorResponse(status);
 }
 
+std::string Server::RejectUndecodable(const Status& status) {
+  WallTimer timer;
+  std::string out = CountError(status);
+  latency_ms_.Record(timer.ElapsedMillis());
+  return out;
+}
+
 std::string Server::HandleLine(const std::string& line) {
   if (line.size() > options_.max_request_bytes) {
     return RejectOversized(line.size());
   }
-  WallTimer timer;
-  StatusOr<std::string> response = Respond(line);
-  std::string out;
-  if (response.ok()) {
-    ok_.Increment();
-    out = std::move(response).value();
-  } else {
-    out = CountError(response.status());
-  }
-  latency_ms_.Record(timer.ElapsedMillis());
-  return out;
+  StatusOr<Request> request = Decode(line);
+  return request.ok() ? Answer(*request) : RejectUndecodable(request.status());
 }
 
-std::optional<std::string> Server::AnswerFromMemo(const std::string& line) {
-  if (line.size() > options_.max_request_bytes) return std::nullopt;
-  WallTimer timer;
-  auto fields = ParseFlatJson(line);
-  if (!fields.ok()) return std::nullopt;
-  // A batched align stays on the workers, so the caller's cost per line
-  // stays bounded by one row's render.
-  if (OpOf(*fields) != Op::kAlign || fields->count("entities") > 0) {
-    return std::nullopt;
-  }
-  auto request = DecodeRequest(Op::kAlign, *fields, options_.deadline_seconds);
-  if (!request.ok()) return std::nullopt;
-  std::optional<std::vector<AlignResult>> results =
-      engine_->AlignBatchFromMemo(request->entities, request->deadline);
-  if (!results.has_value()) return std::nullopt;
-  std::string out = RenderAlign(*request, *results);
-  // What HandleLine counts for the same line.
-  requests_.Increment();
-  op_counters_[static_cast<size_t>(Op::kAlign)]->Increment();
-  ok_.Increment();
-  latency_ms_.Record(timer.ElapsedMillis());
-  return out;
-}
-
-StatusOr<std::string> Server::Respond(const std::string& line) {
+StatusOr<Request> Server::Decode(const std::string& line) {
   // Arrival accounting happens before dispatch so a stats response
   // includes its own request.
   requests_.Increment();
@@ -610,16 +562,40 @@ StatusOr<std::string> Server::Respond(const std::string& line) {
   }
   Op op = OpOf(*fields);
   op_counters_[static_cast<size_t>(op)]->Increment();
-  auto request = DecodeRequest(op, *fields, options_.deadline_seconds);
-  if (!request.ok()) return request.status();
-  switch (request->op) {
-    case Op::kAlign: return HandleAlign(*engine_, *request);
-    case Op::kExplain: return HandleExplain(*engine_, *request);
-    case Op::kNeighbors: return HandleNeighbors(*engine_, *request);
-    case Op::kRepairStatus: return HandleRepairStatus(*engine_, *request);
+  return DecodeRequest(op, *fields, options_.deadline_seconds);
+}
+
+std::string Server::Answer(const Request& request) {
+  WallTimer timer;
+  StatusOr<std::string> response = Dispatch(request);
+  if (response.ok()) ok_.Increment();
+  std::string out = response.ok() ? std::move(response).value()
+                                  : CountError(response.status());
+  latency_ms_.Record(timer.ElapsedMillis());
+  return out;
+}
+
+std::optional<std::string> Server::AnswerFromMemo(const Request& request) {
+  if (request.op != Op::kAlign || request.batched) return std::nullopt;
+  WallTimer timer;
+  std::optional<std::vector<AlignResult>> results =
+      engine_->AlignBatchFromMemo(request.entities, request.deadline);
+  if (!results.has_value()) return std::nullopt;
+  std::string out = RenderAlign(request, *results);
+  ok_.Increment();
+  latency_ms_.Record(timer.ElapsedMillis());
+  return out;
+}
+
+StatusOr<std::string> Server::Dispatch(const Request& request) {
+  switch (request.op) {
+    case Op::kAlign: return HandleAlign(*engine_, request);
+    case Op::kExplain: return HandleExplain(*engine_, request);
+    case Op::kNeighbors: return HandleNeighbors(*engine_, request);
+    case Op::kRepairStatus: return HandleRepairStatus(*engine_, request);
     case Op::kStats:
       return "{\"ok\":true,\"op\":\"stats\",\"stats\":" + StatsJson() + "}";
-    case Op::kLoadSnapshot: return HandleLoadSnapshot(*engine_, *request);
+    case Op::kLoadSnapshot: return HandleLoadSnapshot(*engine_, request);
     case Op::kEngineStatus: return EngineStatusJson(*engine_);
     case Op::kShutdown:
       shutdown_requested_ = true;

@@ -16,12 +16,12 @@
 // Responses: {"ok":true,"op":...,...} on success,
 // {"ok":false,"error":"...","code":"NOT_FOUND"} on failure. A malformed or
 // unknown request produces an error response — never a crash, never loop
-// termination. Every request is subject to the configured deadline; an
+// termination. A request's deadline starts when it is decoded; an
 // over-deadline request answers with code DEADLINE_EXCEEDED.
 //
-// Each line is parsed (ParseFlatJson), decoded once into a typed request,
-// and answered by its op's handler as a StatusOr; the Status code alone
-// decides how the outcome is counted.
+// Each line is decoded once into a typed Request (Decode) and answered by
+// its op's handler as a StatusOr (Answer), counted by Status code alone.
+// AsyncServer decodes on the event loop and answers on a worker.
 //
 // The server records its traffic into an obs::Registry (requests, per-op
 // counts, errors, cache hits/misses via the engine, and a latency
@@ -56,6 +56,26 @@ namespace exea::serve {
 // Escapes a string for embedding in a JSON double-quoted literal.
 std::string JsonEscape(const std::string& raw);
 
+// The protocol's ops. kNone: the line names no op (absent or empty "op");
+// kUnknown: any other name. Each has one serve.op.<name> counter, so
+// hostile op names cannot grow the registry.
+enum class Op { kNone, kUnknown, kAlign, kExplain, kNeighbors, kRepairStatus,
+                kStats, kLoadSnapshot, kEngineStatus, kShutdown };
+
+// One request line decoded into typed fields; only `op`'s fields are set.
+struct Request {
+  Op op = Op::kNone;
+  Deadline deadline = Deadline::None();  // started at decode time
+  std::vector<std::string> entities;     // align: "entity" or "entities"
+  bool batched = false;                  // align: "entities" was given
+  int32_t top_k = 0;  // align "k" in [1, 1000]; 0 = the engine's top_k
+  std::string entity;  // neighbors
+  int32_t side = 1;    // neighbors "side": 1 or 2
+  std::string source;  // explain, repair_status
+  std::string target;  // explain, repair_status
+  std::string dir;     // load_snapshot
+};
+
 struct ServerOptions {
   double deadline_seconds = 5.0;  // per request; <= 0 disables
 
@@ -76,24 +96,29 @@ class Server {
   // Borrows `engine`, which must outlive the server.
   Server(QueryEngine* engine, const ServerOptions& options);
 
-  // Handles one request line, returns the response line (no trailing
-  // newline) and updates the metrics. Never throws; malformed input
-  // yields an {"ok":false,...} response. Public for in-process tests.
-  // Thread-safe: the engine is immutable apart from its internally locked
-  // cache, counters are atomic, and the latency histogram takes its own
-  // brief lock per sample.
+  // Decode, then Answer or RejectUndecodable: the response line (no
+  // trailing newline) to one request line. Never throws; malformed input
+  // yields an {"ok":false,...} response. Thread-safe: the engine is
+  // immutable apart from its internally locked cache, counters are
+  // atomic, and the latency histogram takes its own brief lock per sample.
   std::string HandleLine(const std::string& line);
 
-  // HandleLine for the lines that cost one row's render: a well-formed
-  // single-entity align ("entity", not "entities") whose name resolves,
-  // whose deadline has not expired and whose row the current version's
-  // align memo already holds. Answers such a line with HandleLine's bytes
-  // and counts exactly what HandleLine would (serve.requests,
-  // serve.op.align, serve.ok, one serve.latency_ms sample). Any other
-  // line gets std::nullopt and counts nothing; the caller then hands it
-  // to HandleLine. Never runs a top-k, so an event-loop thread may call
-  // it. Thread-safe.
-  std::optional<std::string> AnswerFromMemo(const std::string& line);
+  // The serving path's only parse. Counts the line's arrival
+  // (serve.requests, then serve.malformed or serve.op.<op>) and decodes it
+  // into a Request whose deadline starts now ("deadline_ms", else
+  // options.deadline_seconds). No engine work: an event loop may call it.
+  [[nodiscard]] StatusOr<Request> Decode(const std::string& line);
+
+  // Runs the request's op handler and counts its outcome (serve.ok, or
+  // serve.errors by Status code) with one serve.latency_ms sample timing
+  // the handler. May block, so an event loop never calls it.
+  std::string Answer(const Request& request);
+
+  // Answer's bytes and counts for a single-entity align ("entity", not
+  // "entities") whose name resolves, whose deadline holds and whose row
+  // the current version's align memo has; std::nullopt, counting nothing,
+  // for any other request. Never runs a top-k: an event loop may call it.
+  std::optional<std::string> AnswerFromMemo(const Request& request);
 
   // Reads requests from `in` until EOF or {"op":"shutdown"}; writes one
   // response line per request to `out` (flushed per line, so a pipe peer
@@ -104,7 +129,7 @@ class Server {
   //   serve.requests / .ok / .errors / .malformed / .oversized /
   //   .deadline_exceeded                      counters
   //   serve.op.<op>                           one request counter per op
-  //   serve.latency_ms                        histogram over all requests
+  //   serve.latency_ms                        handler time per answered line
   const obs::Registry& registry() const { return *registry_; }
 
   // The server + engine metrics as a JSON object (the "stats" response
@@ -120,23 +145,26 @@ class Server {
   // framing (the event loop) can reject with identical bytes + counters.
   std::string RejectOversized(size_t observed_bytes);
 
+  // Counts and renders the answer to a line Decode rejected (serve.errors
+  // and one serve.latency_ms sample). No engine work.
+  std::string RejectUndecodable(const Status& status);
+
   // Counts and renders an admission-control rejection: the request queue
-  // was full when the line arrived. Counted under serve.rejected; like
-  // RejectOversized, the request never enters the latency histogram
-  // (no work was done).
+  // was full when the decoded request arrived. Counted under
+  // serve.rejected; like RejectOversized, the request never enters the
+  // latency histogram (no work was done).
   std::string RejectQueueFull();
 
   // Counts and renders the shedding of a request whose deadline expired
   // while it sat in the queue — checked after dequeue, before any work.
   // Counted under serve.deadline_exceeded (the client-visible code) and
   // serve.shed (distinguishing queue sheds from compute timeouts); the
-  // queue wait is recorded as the request's latency. The per-op counter
-  // is not advanced: the line was never parsed.
+  // queue wait is recorded as the request's latency.
   std::string ShedExpired(double queue_wait_ms);
 
  private:
-  // Counts the line's arrival, decodes it and runs its op's handler.
-  [[nodiscard]] StatusOr<std::string> Respond(const std::string& line);
+  // Runs the request's op handler.
+  [[nodiscard]] StatusOr<std::string> Dispatch(const Request& request);
   // Counts a failed request by its Status code and renders the response.
   std::string CountError(const Status& status);
 

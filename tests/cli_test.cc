@@ -250,18 +250,34 @@ TEST_F(CliTest, ServeRejectsUnusableCountFlags) {
   for (const char* flag :
        {"--workers 0", "--workers -1", "--workers abc", "--workers 257",
         "--workers 100000", "--queue 0", "--queue -5", "--queue 12x",
-        "--max-conns 0", "--max-conns -1"}) {
+        "--max-conns 0", "--max-conns -1", "--port 70000", "--port abc",
+        "--port -1", "--cache abc", "--cache -1", "--topk 0",
+        "--deadline-ms -1", "--deadline-ms 5s"}) {
     EXPECT_NE(Run(serve + flag), 0) << flag;
     std::string name(flag, std::string(flag).find(' '));
     EXPECT_NE(out_.find(name + " must be"), std::string::npos)
         << flag << ": " << out_;
+  }
+  // The clients of a running server check --port the same way, in
+  // [1, 65535], before connecting.
+  const std::string bundle = " --bundle " + (*dir_ / "no_bundle").string();
+  for (const std::string& command :
+       {std::string("stats --port 0"), std::string("stats --port 70000"),
+        "swap --port x" + bundle, "swap --port 65536" + bundle}) {
+    EXPECT_NE(Run(command), 0) << command;
+    EXPECT_NE(out_.find("--port must be"), std::string::npos)
+        << command << ": " << out_;
   }
 }
 
 TEST_F(CliTest, BenchLoadRejectsUnusableCountFlags) {
   const std::string bench =
       "bench-load --bundle " + (*dir_ / "no_bundle").string() + " ";
-  for (const char* flag : {"--workers 0", "--workers 257", "--queue 0"}) {
+  for (const char* flag :
+       {"--workers 0", "--workers 257", "--queue 0", "--clients -1",
+        "--clients 0", "--clients 257", "--requests 0", "--pipeline abc",
+        "--swaps -1", "--cache abc", "--topk 0", "--deadline-ms -5",
+        "--port 0", "--port 70000"}) {
     EXPECT_NE(Run(bench + flag), 0) << flag;
     std::string name(flag, std::string(flag).find(' '));
     EXPECT_NE(out_.find(name + " must be"), std::string::npos)

@@ -1785,13 +1785,13 @@ TEST_F(AsyncServerTest, FullQueueRejectsImmediatelyWithUnavailable) {
   EXPECT_NE(stats.find("\"rejected\":2"), std::string::npos) << stats;
 }
 
-TEST_F(AsyncServerTest, ExpiredRequestIsShedAfterDequeueBeforeParsing) {
+TEST_F(AsyncServerTest, ExpiredRequestIsShedAfterDequeueBeforeEngineWork) {
   serve::AsyncServerOptions options;
   options.workers = 1;
   options.server.deadline_seconds = 0.05;
-  // The second dequeue stalls past the first request's admission
-  // deadline; the request it picked up expires in the hook and must be
-  // shed before any parsing or engine work.
+  // The second dequeue stalls past the deadline its request got when the
+  // loop decoded it at admission; the request expires in the hook and
+  // must be shed before any engine work.
   std::atomic<int> pops{0};
   options.worker_hook_for_test = [&] {
     if (pops.fetch_add(1) + 1 == 2) {
@@ -1831,6 +1831,31 @@ TEST_F(AsyncServerTest, ExpiredRequestIsShedAfterDequeueBeforeParsing) {
   EXPECT_EQ(third.rfind("{\"ok\":true,\"op\":\"align\"", 0), 0u) << third;
   std::string stats = client.Ask("{\"op\":\"stats\"}");
   EXPECT_NE(stats.find("\"shed\":1"), std::string::npos) << stats;
+}
+
+// A line's own "deadline_ms" also counts from admission, where the loop
+// decodes it: a request held past it in the queue is shed, not answered.
+TEST_F(AsyncServerTest, DeadlineMsCountsFromAdmission) {
+  serve::AsyncServerOptions options;
+  options.workers = 1;
+  options.worker_hook_for_test = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  };
+  StartAsync(options);
+  std::string source = Pipeline().dataset.kg1.EntityName(ServedPair().source);
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  std::string response = client.Ask(StrFormat(
+      "{\"op\":\"neighbors\",\"entity\":\"%s\",\"deadline_ms\":\"10\"}",
+      source.c_str()));
+  EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u) << response;
+  EXPECT_NE(response.find("DEADLINE_EXCEEDED"), std::string::npos) << response;
+  EXPECT_NE(response.find("shed from queue"), std::string::npos) << response;
+  EXPECT_EQ(registry_.CounterValue("serve.shed"), 1u);
+  // Decode counted the shed request once, under its op.
+  EXPECT_EQ(registry_.CounterValue("serve.requests"), 1u);
+  EXPECT_EQ(registry_.CounterValue("serve.op.neighbors"), 1u);
 }
 
 TEST_F(AsyncServerTest, ShutdownOpAnswersAndDrains) {
@@ -2021,6 +2046,38 @@ TEST_F(AsyncServerTest, MissesBatchesAndExplainsStillReachWorkers) {
   // The row is memoized now, so the single-entity form stays on the loop.
   EXPECT_EQ(client.Ask(align).rfind("{\"ok\":true,\"op\":\"align\"", 0), 0u);
   EXPECT_EQ(dequeued.load(), expected);
+}
+
+// A line that does not decode is answered on the loop that framed it: it
+// takes no queue slot and never reaches a worker, and it counts exactly
+// what HandleLine counts for it.
+TEST_F(AsyncServerTest, UndecodableLinesAnswerOnTheLoopLikeHandleLine) {
+  serve::AsyncServerOptions options;
+  std::atomic<int> dequeued{0};
+  options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  StartAsync(options);
+  obs::Registry reference_registry;
+  serve::ServerOptions reference_options;
+  reference_options.registry = &reference_registry;
+  serve::Server reference(engine_.get(), reference_options);
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  for (const char* line : {"this is not json", "{\"op\":\"frobnicate\"}"}) {
+    EXPECT_EQ(client.Ask(line), reference.HandleLine(line)) << line;
+  }
+  EXPECT_EQ(dequeued.load(), 0) << "an undecodable line reached a worker";
+  for (const char* counter :
+       {"serve.requests", "serve.malformed", "serve.op.(unknown)",
+        "serve.op.(none)", "serve.errors", "serve.ok", "serve.rejected",
+        "serve.shed"}) {
+    EXPECT_EQ(registry_.CounterValue(counter),
+              reference_registry.CounterValue(counter))
+        << counter;
+  }
+  EXPECT_EQ(registry_.CounterValue("serve.errors"), 2u);
+  EXPECT_EQ(registry_.HistogramSnapshot("serve.latency_ms").count,
+            reference_registry.HistogramSnapshot("serve.latency_ms").count);
 }
 
 // A swap between two aligns of one entity: the second is answered from

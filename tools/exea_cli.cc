@@ -202,14 +202,16 @@ const char* SubcommandHelp(const std::string& command) {
            "  event loops (connections spread round-robin over them) and\n"
            "  as many request threads behind a --queue-bounded admission\n"
            "  queue (full queue => UNAVAILABLE), at most --max-conns\n"
-           "  clients. An align the snapshot's memo already holds is\n"
-           "  answered on its connection's loop; every other request\n"
-           "  runs whole on the worker that dequeued it. Responses are\n"
-           "  byte-identical to the stdin path. --workers is 1..256;\n"
-           "  --workers, --queue and --max-conns must be positive\n"
-           "  integers. A load_snapshot hot swap keeps only the new\n"
-           "  version; in-flight requests retain the one they started on\n"
-           "  until they drain.\n";
+           "  clients. Each line is decoded once, on its connection's\n"
+           "  loop, which also answers a line that does not decode and\n"
+           "  an align the snapshot's memo already holds; every other\n"
+           "  request runs whole on the worker that dequeued it.\n"
+           "  Responses are byte-identical to the stdin path. --workers\n"
+           "  is 1..256 and --port 0..65535; --queue, --max-conns and\n"
+           "  --topk must be positive integers, --cache and --deadline-ms\n"
+           "  non-negative ones (0 disables). A load_snapshot hot swap\n"
+           "  keeps only the new version; in-flight requests retain the\n"
+           "  one they started on until they drain.\n";
   }
   if (command == "swap") {
     return "exea_cli swap --port N --bundle DIR\n"
@@ -243,7 +245,9 @@ const char* SubcommandHelp(const std::string& command) {
            "  --pipeline K keeps up to K requests in flight per client.\n"
            "  --deadline-ms, --cache, --topk, --index, --workers and\n"
            "  --queue configure the self-hosted server as they do for\n"
-           "  `exea_cli serve`, with the same defaults.\n"
+           "  `exea_cli serve`, with the same defaults and checks.\n"
+           "  --clients is 1..256, --port 1..65535, and --requests,\n"
+           "  --pipeline and --swaps positive integers.\n"
            "  Prints one machine-greppable result line (QPS, reject and\n"
            "  shed counts, p50/p99 latency) and exits non-zero if any\n"
            "  response is malformed or missing.\n"
@@ -326,34 +330,77 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-// Connects to a serving exea_cli on 127.0.0.1:`port`, issues one
-// {"op":"stats"} request, and prints the raw response line (a JSON
-// object; see serve::Server::StatsJson for the payload keys).
-int StatsFromServer(int port) {
+// The most event loops, workers and bench-load clients `--workers` and
+// `--clients` may ask for. Checked before any thread starts, so a typo
+// cannot spawn thousands of threads.
+constexpr int64_t kMaxWorkers = 256;
+constexpr int64_t kMaxPort = 65535;
+
+// Sets `*value` from the integer flag `name` when it is given. The value
+// must be a whole number in [min, max]: text or a value outside the range
+// is an error naming the flag, never a silent default or a wrapped size_t.
+template <typename T>
+Status ReadCountFlag(const Flags& flags, const char* name, int64_t min,
+                     int64_t max, T* value) {
+  if (!flags.Has(name)) return Status::Ok();
+  int64_t parsed = 0;
+  Status status =
+      util::ParseInt64(flags.GetString(name, ""), min, max, &parsed);
+  if (!status.ok()) {
+    std::string allowed =
+        max != INT64_MAX
+            ? StrFormat("an integer in [%lld, %lld]",
+                        static_cast<long long>(min),
+                        static_cast<long long>(max))
+            : (min == 0 ? "a non-negative integer" : "a positive integer");
+    return Status::InvalidArgument(StrFormat("--%s must be %s: ", name,
+                                             allowed.c_str()) +
+                                   status.message());
+  }
+  *value = static_cast<T>(parsed);
+  return Status::Ok();
+}
+
+// Sends one request line to a serving exea_cli on 127.0.0.1:`port` and
+// returns its one response line.
+StatusOr<std::string> AskServer(int port, const std::string& request) {
   auto fd = net::ConnectLocal(port);
   if (!fd.ok()) {
-    return Fail(StrFormat("cannot connect to 127.0.0.1:%d "
-                          "(is `exea_cli serve --port %d` running?)",
-                          port, port));
-  }
-  if (!net::WriteAll(*fd, "{\"op\":\"stats\"}\n").ok()) {
-    ::close(*fd);
-    return Fail("cannot send stats request");
+    return Status::Unavailable(StrFormat(
+        "cannot connect to 127.0.0.1:%d (is `exea_cli serve --port %d` "
+        "running?)",
+        port, port));
   }
   net::LineReader reader(*fd);
   std::string line;
-  bool truncated;
-  size_t truncated_bytes;
-  bool got = reader.ReadLine(1 << 24, &line, &truncated, &truncated_bytes);
+  bool truncated = false;
+  size_t truncated_bytes = 0;
+  bool got = net::WriteAll(*fd, request + "\n").ok() &&
+             reader.ReadLine(1 << 24, &line, &truncated, &truncated_bytes);
   ::close(*fd);
-  if (!got || line.empty()) return Fail("no response from server");
-  std::printf("%s\n", line.c_str());
-  return 0;
+  if (!got || line.empty()) {
+    return Status::Unavailable("no response from server");
+  }
+  return line;
+}
+
+// The load_snapshot request that hot-swaps a server onto `bundle`.
+std::string LoadSnapshotRequest(const std::string& bundle) {
+  return "{\"op\":\"load_snapshot\",\"dir\":\"" + serve::JsonEscape(bundle) +
+         "\"}";
 }
 
 int CmdStats(const Flags& flags) {
   if (flags.Has("port")) {
-    return StatsFromServer(static_cast<int>(flags.GetInt("port", 0)));
+    // The raw stats line: a JSON object whose payload keys are
+    // serve::Server::StatsJson's.
+    int port = 0;
+    Status read = ReadCountFlag(flags, "port", 1, kMaxPort, &port);
+    if (!read.ok()) return Fail(read.message());
+    auto response = AskServer(port, "{\"op\":\"stats\"}");
+    if (!response.ok()) return Fail(response.status().message());
+    std::printf("%s\n", response->c_str());
+    return 0;
   }
   auto dataset = LoadFromFlags(flags);
   if (!dataset.ok()) return Fail(dataset.status().ToString());
@@ -656,77 +703,43 @@ int CmdSnapshot(const Flags& flags) {
   return 0;
 }
 
-// Sets `*value` from the size flag `name` when it is given. The field's
-// current value is the default, so the option struct's own defaults are
-// the one source for serve and bench-load alike.
-void ReadSizeFlag(const Flags& flags, const char* name, size_t* value) {
-  *value = static_cast<size_t>(
-      flags.GetInt(name, static_cast<int64_t>(*value)));
-}
-
-// The most event loops and workers `--workers` may ask for. Checked
-// before any thread starts, so a typo cannot spawn thousands of threads.
-constexpr int64_t kMaxWorkers = 256;
-
-// Sets `*value` from the count flag `name` when it is given. The value
-// must be a whole number in [1, max]: zero, a negative, text or a value
-// past `max` is an error naming the flag, never a silent default or a
-// wrapped size_t.
-Status ReadCountFlag(const Flags& flags, const char* name, int64_t max,
-                     size_t* value) {
-  if (!flags.Has(name)) return Status::Ok();
-  int64_t parsed = 0;
-  Status status = util::ParseInt64(flags.GetString(name, ""), 1, max, &parsed);
-  if (!status.ok()) {
-    std::string allowed =
-        max == INT64_MAX ? "a positive integer"
-                         : StrFormat("an integer in [1, %lld]",
-                                     static_cast<long long>(max));
-    return Status::InvalidArgument(StrFormat("--%s must be %s: ", name,
-                                             allowed.c_str()) +
-                                   status.message());
-  }
-  *value = static_cast<size_t>(parsed);
-  return Status::Ok();
-}
-
-// The async server's count flags serve and bench-load share: --workers
-// (worker threads and event loops) and --queue.
-Status ReadAsyncCountFlags(const Flags& flags,
-                           serve::AsyncServerOptions* options) {
+// The flags serve and bench-load share, over the option structs' own
+// defaults: --workers (worker threads and event loops), --queue,
+// --deadline-ms and --cache (0 disables either), --topk and --index.
+Status ReadServingFlags(const Flags& flags,
+                        serve::AsyncServerOptions* server,
+                        serve::EngineOptions* engine) {
   EXEA_RETURN_IF_ERROR(
-      ReadCountFlag(flags, "workers", kMaxWorkers, &options->workers));
-  return ReadCountFlag(flags, "queue", INT64_MAX, &options->queue_capacity);
-}
-
-// ReadSizeFlag for a millisecond flag stored as seconds.
-void ReadMillisFlag(const Flags& flags, const char* name, double* seconds) {
-  *seconds = static_cast<double>(flags.GetInt(
-                 name, static_cast<int64_t>(*seconds * 1e3))) /
-             1e3;
-}
-
-// The engine flags serve and bench-load share, over EngineOptions' own
-// defaults.
-serve::EngineOptions ReadEngineFlags(const Flags& flags) {
-  serve::EngineOptions options;
-  ReadSizeFlag(flags, "cache", &options.explain_cache_capacity);
-  ReadSizeFlag(flags, "topk", &options.top_k);
-  options.index_policy = flags.GetString("index", options.index_policy);
-  return options;
+      ReadCountFlag(flags, "workers", 1, kMaxWorkers, &server->workers));
+  EXEA_RETURN_IF_ERROR(
+      ReadCountFlag(flags, "queue", 1, INT64_MAX, &server->queue_capacity));
+  int64_t deadline_ms =
+      static_cast<int64_t>(server->server.deadline_seconds * 1e3);
+  EXEA_RETURN_IF_ERROR(
+      ReadCountFlag(flags, "deadline-ms", 0, INT64_MAX, &deadline_ms));
+  server->server.deadline_seconds = static_cast<double>(deadline_ms) / 1e3;
+  EXEA_RETURN_IF_ERROR(ReadCountFlag(flags, "cache", 0, INT64_MAX,
+                                     &engine->explain_cache_capacity));
+  EXEA_RETURN_IF_ERROR(
+      ReadCountFlag(flags, "topk", 1, INT64_MAX, &engine->top_k));
+  engine->index_policy = flags.GetString("index", engine->index_policy);
+  return Status::Ok();
 }
 
 int CmdServe(const Flags& flags) {
   std::string bundle_dir = flags.GetString("bundle", "");
   if (bundle_dir.empty()) return Fail("--bundle is required");
   serve::AsyncServerOptions async_options;
-  Status counts = ReadAsyncCountFlags(flags, &async_options);
-  if (counts.ok()) {
-    counts = ReadCountFlag(flags, "max-conns", INT64_MAX,
-                           &async_options.max_connections);
+  serve::EngineOptions engine_options;
+  int port = 0;
+  Status read = ReadServingFlags(flags, &async_options, &engine_options);
+  if (read.ok()) {
+    read = ReadCountFlag(flags, "max-conns", 1, INT64_MAX,
+                         &async_options.max_connections);
   }
-  if (!counts.ok()) return Fail(counts.message());
-  auto engine = serve::QueryEngine::Open(bundle_dir, ReadEngineFlags(flags));
+  if (read.ok()) read = ReadCountFlag(flags, "port", 0, kMaxPort, &port);
+  if (!read.ok()) return Fail(read.message());
+  auto engine = serve::QueryEngine::Open(bundle_dir, engine_options);
   if (!engine.ok()) return Fail(engine.status().ToString());
   {
     std::shared_ptr<const serve::ServingState> state =
@@ -741,11 +754,7 @@ int CmdServe(const Flags& flags) {
                  static_cast<unsigned long long>(state->epoch()));
   }
 
-  serve::ServerOptions server_options;
-  ReadMillisFlag(flags, "deadline-ms", &server_options.deadline_seconds);
   if (flags.Has("port")) {
-    int port = static_cast<int>(flags.GetInt("port", 0));
-    async_options.server = server_options;
     serve::AsyncServer server(engine->get(), async_options);
     Status status = server.Start(port);
     if (!status.ok()) return Fail(status.ToString());
@@ -761,7 +770,7 @@ int CmdServe(const Flags& flags) {
   }
   // stdin/stdout keeps the synchronous loop: one caller, one pipe, no
   // reason for an event loop.
-  serve::Server server(engine->get(), server_options);
+  serve::Server server(engine->get(), async_options.server);
   server.Serve(std::cin, std::cout);
   return 0;
 }
@@ -937,46 +946,40 @@ void RunLoadClient(int port, const std::vector<std::string>& requests,
 // means an outage.
 int CmdSwap(const Flags& flags) {
   if (!flags.Has("port")) return Fail("--port is required");
-  int port = static_cast<int>(flags.GetInt("port", 0));
+  int port = 0;
+  Status read = ReadCountFlag(flags, "port", 1, kMaxPort, &port);
+  if (!read.ok()) return Fail(read.message());
   std::string bundle = flags.GetString("bundle", "");
   if (bundle.empty()) return Fail("--bundle is required");
 
-  auto fd = net::ConnectLocal(port);
-  if (!fd.ok()) {
-    return Fail(StrFormat("cannot connect to 127.0.0.1:%d "
-                          "(is `exea_cli serve --port %d` running?)",
-                          port, port));
-  }
-  std::string request = "{\"op\":\"load_snapshot\",\"dir\":\"" +
-                        serve::JsonEscape(bundle) + "\"}\n";
-  if (!net::WriteAll(*fd, request).ok()) {
-    ::close(*fd);
-    return Fail("cannot send load_snapshot request");
-  }
-  net::LineReader reader(*fd);
-  std::string line;
-  bool truncated;
-  size_t truncated_bytes;
-  bool got = reader.ReadLine(1 << 20, &line, &truncated, &truncated_bytes);
-  ::close(*fd);
-  if (!got || line.empty()) return Fail("no response from server");
-  std::printf("%s\n", line.c_str());
-  if (line.find("\"ok\":true") == std::string::npos) {
+  auto response = AskServer(port, LoadSnapshotRequest(bundle));
+  if (!response.ok()) return Fail(response.status().message());
+  std::printf("%s\n", response->c_str());
+  if (!StartsWith(*response, "{\"ok\":true")) {
     return Fail("swap rejected; the server kept its current snapshot");
   }
   return 0;
 }
 
 int CmdBenchLoad(const Flags& flags) {
-  size_t clients = static_cast<size_t>(flags.GetInt("clients", 8));
-  size_t requests = static_cast<size_t>(flags.GetInt("requests", 50));
-  size_t pipeline = static_cast<size_t>(flags.GetInt("pipeline", 1));
-  if (clients == 0 || requests == 0 || pipeline == 0) {
-    return Fail("--clients/--requests/--pipeline must all be positive");
-  }
+  size_t clients = 8;
+  size_t requests = 50;
+  size_t pipeline = 1;
+  size_t swaps = 5;
+  int port = 0;
   serve::AsyncServerOptions async_options;
-  Status counts = ReadAsyncCountFlags(flags, &async_options);
-  if (!counts.ok()) return Fail(counts.message());
+  serve::EngineOptions engine_options;
+  // Every flag is checked before the bundle is read or a thread starts.
+  Status read = ReadServingFlags(flags, &async_options, &engine_options);
+  auto read_count = [&](const char* name, int64_t max, auto* value) {
+    if (read.ok()) read = ReadCountFlag(flags, name, 1, max, value);
+  };
+  read_count("clients", kMaxWorkers, &clients);
+  read_count("requests", INT64_MAX, &requests);
+  read_count("pipeline", INT64_MAX, &pipeline);
+  read_count("swaps", INT64_MAX, &swaps);
+  read_count("port", kMaxPort, &port);
+  if (!read.ok()) return Fail(read.message());
 
   // Two modes: attach to a running server (--port; stats op only, the
   // bench knows no entity names), or self-host the async core from a
@@ -984,7 +987,6 @@ int CmdBenchLoad(const Flags& flags) {
   // CI smoke uses.
   std::unique_ptr<serve::QueryEngine> engine;
   std::unique_ptr<serve::AsyncServer> hosted;
-  int port = 0;
   std::string op = flags.GetString("op", "");
   std::vector<std::string> align_entities;
   std::vector<std::pair<std::string, std::string>> explain_pairs;
@@ -992,7 +994,6 @@ int CmdBenchLoad(const Flags& flags) {
   std::string bundle_dir = flags.GetString("bundle", "");
   if (bundle_dir.empty()) {
     if (!flags.Has("port")) return Fail("--bundle or --port is required");
-    port = static_cast<int>(flags.GetInt("port", 0));
     if (op.empty()) op = "stats";
     if (op != "stats") {
       return Fail("--port mode supports only --op stats "
@@ -1000,7 +1001,7 @@ int CmdBenchLoad(const Flags& flags) {
     }
   } else {
     if (op.empty()) op = "align";
-    auto opened = serve::QueryEngine::Open(bundle_dir, ReadEngineFlags(flags));
+    auto opened = serve::QueryEngine::Open(bundle_dir, engine_options);
     if (!opened.ok()) return Fail(opened.status().ToString());
     engine = std::move(*opened);
 
@@ -1026,8 +1027,6 @@ int CmdBenchLoad(const Flags& flags) {
       return Fail("bundle has no aligned pairs for --op " + op);
     }
 
-    ReadMillisFlag(flags, "deadline-ms",
-                   &async_options.server.deadline_seconds);
     hosted = std::make_unique<serve::AsyncServer>(engine.get(),
                                                   async_options);
     Status started = hosted->Start(0);
@@ -1039,7 +1038,6 @@ int CmdBenchLoad(const Flags& flags) {
   // server between --swap-bundle and --bundle while the load clients
   // run, so the run proves that version swaps drop nothing.
   std::string swap_bundle = flags.GetString("swap-bundle", "");
-  size_t swaps = static_cast<size_t>(flags.GetInt("swaps", 5));
   if (!swap_bundle.empty() && hosted == nullptr) {
     return Fail("--swap-bundle requires self-hosted mode (--bundle)");
   }
@@ -1101,24 +1099,8 @@ int CmdBenchLoad(const Flags& flags) {
         // Alternate between the two bundles so every swap installs a
         // genuinely different version, not a no-op reload.
         const std::string& dir = (i % 2 == 0) ? swap_bundle : bundle_dir;
-        bool ok = false;
-        auto fd = net::ConnectLocal(port);
-        if (fd.ok()) {
-          std::string request = "{\"op\":\"load_snapshot\",\"dir\":\"" +
-                                serve::JsonEscape(dir) + "\"}\n";
-          if (net::WriteAll(*fd, request).ok()) {
-            net::LineReader reader(*fd);
-            std::string line;
-            bool truncated;
-            size_t truncated_bytes;
-            if (reader.ReadLine(1 << 20, &line, &truncated,
-                                &truncated_bytes)) {
-              ok = line.find("\"ok\":true") != std::string::npos;
-            }
-          }
-          ::close(*fd);
-        }
-        if (ok) {
+        auto response = AskServer(port, LoadSnapshotRequest(dir));
+        if (response.ok() && StartsWith(*response, "{\"ok\":true")) {
           swaps_done.fetch_add(1);
         } else {
           swap_failures.fetch_add(1);
