@@ -16,9 +16,10 @@
 #      drive the async serving core with 8 concurrent clients, once in
 #      lockstep and once with 8 requests in flight per connection, then
 #      three more times while a second bundle is swapped in and out
-#      (mixed ops, aligns alone, and aligns alone 8 in flight per
-#      connection) — the run fails on any malformed or dropped response
-#      or failed swap (exea_cli bench-load exits non-zero),
+#      (mixed ops — align, explain, neighbors, repair_status and stats —
+#      aligns alone, and aligns alone 8 in flight per connection) — the
+#      run fails on any malformed or dropped response or failed swap
+#      (exea_cli bench-load exits non-zero),
 #   4. e2ebench: build the end-to-end benchmark from source and run its
 #      self-tests in reduced mode (python3 e2ebench/test_e2ebench.py) —
 #      the benchmark compiles against the serving API, so an edit there
@@ -41,7 +42,14 @@
 #      lines answered on the loop and deadlines counted from admission
 #      (serve_test, UndecodableLinesAnswerOnTheLoopLikeHandleLine,
 #      DeadlineMsCountsFromAdmission and
-#      ExpiredRequestIsShedAfterDequeueBeforeEngineWork), the event loop's
+#      ExpiredRequestIsShedAfterDequeueBeforeEngineWork), the align-memo
+#      filler racing lazy misses, swaps and shutdown, and the lookups
+#      answered on the loops (serve_test,
+#      IndexPolicies/FilledMemoTest.EverySingleAlignAnswersOnTheLoop,
+#      SwapMidFillDropsTheOldVersionAndFillsTheNew,
+#      ShutdownMidFillReturnsPromptlyAndAnswersAdmitted,
+#      LookupsAnswerOnTheLoopLikeHandleLine and
+#      UncachedExplainReachesAWorkerAndCountsOneMiss), the event loop's
 #      fairness and backpressure under a flooding or non-reading peer
 #      (net_test, BlankLineFloodDoesNotStarveOtherConnections,
 #      PeerThatNeverReadsStopsBeingRead and

@@ -4,26 +4,67 @@
 
 namespace exea::kg {
 
+namespace {
+
+// Inserts `id` into the sorted `ids`; false if it is already there.
+bool InsertSorted(std::vector<EntityId>& ids, EntityId id) {
+  auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it != ids.end() && *it == id) return false;
+  ids.insert(it, id);
+  return true;
+}
+
+// Erases `id` from the sorted `ids`; false if it is absent.
+bool EraseSorted(std::vector<EntityId>& ids, EntityId id) {
+  auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it == ids.end() || *it != id) return false;
+  ids.erase(it);
+  return true;
+}
+
+// The sorted counterparts `index` holds for `id` (empty if none).
+std::vector<EntityId> CounterpartsOf(
+    const std::unordered_map<EntityId, std::vector<EntityId>>& index,
+    EntityId id) {
+  auto it = index.find(id);
+  return it == index.end() ? std::vector<EntityId>() : it->second;
+}
+
+// The one counterpart `index` holds for `id`, or kInvalidEntity.
+EntityId UniqueCounterpartOf(
+    const std::unordered_map<EntityId, std::vector<EntityId>>& index,
+    EntityId id) {
+  auto it = index.find(id);
+  if (it == index.end() || it->second.size() != 1) return kInvalidEntity;
+  return it->second.front();
+}
+
+}  // namespace
+
 bool AlignmentSet::Add(EntityId source, EntityId target) {
-  if (!pairs_.insert({source, target}).second) return false;
-  by_source_[source].insert(target);
-  by_target_[target].insert(source);
+  if (!InsertSorted(by_source_[source], target)) return false;
+  InsertSorted(by_target_[target], source);
+  ++size_;
   return true;
 }
 
 bool AlignmentSet::Remove(EntityId source, EntityId target) {
-  if (pairs_.erase({source, target}) == 0) return false;
   auto src_it = by_source_.find(source);
-  src_it->second.erase(target);
+  if (src_it == by_source_.end() || !EraseSorted(src_it->second, target)) {
+    return false;
+  }
   if (src_it->second.empty()) by_source_.erase(src_it);
   auto tgt_it = by_target_.find(target);
-  tgt_it->second.erase(source);
+  EraseSorted(tgt_it->second, source);
   if (tgt_it->second.empty()) by_target_.erase(tgt_it);
+  --size_;
   return true;
 }
 
 bool AlignmentSet::Contains(EntityId source, EntityId target) const {
-  return pairs_.count({source, target}) > 0;
+  auto it = by_source_.find(source);
+  return it != by_source_.end() &&
+         std::binary_search(it->second.begin(), it->second.end(), target);
 }
 
 bool AlignmentSet::HasSource(EntityId source) const {
@@ -35,43 +76,27 @@ bool AlignmentSet::HasTarget(EntityId target) const {
 }
 
 std::vector<EntityId> AlignmentSet::TargetsOf(EntityId source) const {
-  std::vector<EntityId> out;
-  auto it = by_source_.find(source);
-  if (it != by_source_.end()) {
-    out.assign(it->second.begin(), it->second.end());
-    std::sort(out.begin(), out.end());
-  }
-  return out;
+  return CounterpartsOf(by_source_, source);
 }
 
 std::vector<EntityId> AlignmentSet::SourcesOf(EntityId target) const {
-  std::vector<EntityId> out;
-  auto it = by_target_.find(target);
-  if (it != by_target_.end()) {
-    out.assign(it->second.begin(), it->second.end());
-    std::sort(out.begin(), out.end());
-  }
-  return out;
+  return CounterpartsOf(by_target_, target);
 }
 
 EntityId AlignmentSet::UniqueTargetOf(EntityId source) const {
-  auto it = by_source_.find(source);
-  if (it == by_source_.end() || it->second.size() != 1) {
-    return kInvalidEntity;
-  }
-  return *it->second.begin();
+  return UniqueCounterpartOf(by_source_, source);
 }
 
 EntityId AlignmentSet::UniqueSourceOf(EntityId target) const {
-  auto it = by_target_.find(target);
-  if (it == by_target_.end() || it->second.size() != 1) {
-    return kInvalidEntity;
-  }
-  return *it->second.begin();
+  return UniqueCounterpartOf(by_target_, target);
 }
 
 std::vector<AlignedPair> AlignmentSet::SortedPairs() const {
-  std::vector<AlignedPair> out(pairs_.begin(), pairs_.end());
+  std::vector<AlignedPair> out;
+  out.reserve(size_);
+  for (const auto& [source, targets] : by_source_) {
+    for (EntityId target : targets) out.push_back({source, target});
+  }
   std::sort(out.begin(), out.end());
   return out;
 }

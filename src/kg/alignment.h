@@ -9,7 +9,6 @@
 #define EXEA_KG_ALIGNMENT_H_
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "kg/types.h"
@@ -26,13 +25,6 @@ struct AlignedPair {
   friend bool operator<(const AlignedPair& a, const AlignedPair& b) {
     if (a.source != b.source) return a.source < b.source;
     return a.target < b.target;
-  }
-};
-
-struct AlignedPairHash {
-  size_t operator()(const AlignedPair& p) const {
-    return (static_cast<uint64_t>(p.source) << 32 | p.target) *
-           0x9E3779B97F4A7C15ULL >> 16;
   }
 };
 
@@ -61,8 +53,8 @@ class AlignmentSet {
   EntityId UniqueTargetOf(EntityId source) const;
   EntityId UniqueSourceOf(EntityId target) const;
 
-  size_t size() const { return pairs_.size(); }
-  bool empty() const { return pairs_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   // All pairs in deterministic (sorted) order.
   std::vector<AlignedPair> SortedPairs() const;
@@ -71,9 +63,13 @@ class AlignmentSet {
   bool IsOneToOne() const;
 
  private:
-  std::unordered_set<AlignedPair, AlignedPairHash> pairs_;
-  std::unordered_map<EntityId, std::unordered_set<EntityId>> by_source_;
-  std::unordered_map<EntityId, std::unordered_set<EntityId>> by_target_;
+  // Each mentioned entity's counterparts, sorted ascending. A sorted
+  // vector rather than a hash set: an entity usually has one counterpart,
+  // so a pair costs one map node and one small buffer per side, and the
+  // sorted accessors copy instead of sorting.
+  std::unordered_map<EntityId, std::vector<EntityId>> by_source_;
+  std::unordered_map<EntityId, std::vector<EntityId>> by_target_;
+  size_t size_ = 0;  // pairs
 };
 
 // Fraction of `predicted` pairs that appear in `gold` (the paper's EA

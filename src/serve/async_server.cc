@@ -7,12 +7,14 @@ namespace exea::serve {
 AsyncServer::AsyncServer(QueryEngine* engine,
                          const AsyncServerOptions& options)
     : options_(options),
+      engine_(engine),
       registry_(options.server.registry != nullptr
                     ? options.server.registry
                     : engine->mutable_registry()),
       server_(engine, options.server),
       admission_queue_(options.queue_capacity),
-      queue_depth_(registry_->GetGauge("serve.queue_depth")) {}
+      queue_depth_(registry_->GetGauge("serve.queue_depth")),
+      loop_answered_(registry_->GetCounter("serve.loop_answered")) {}
 
 AsyncServer::~AsyncServer() { Shutdown(); }
 
@@ -37,6 +39,9 @@ Status AsyncServer::Start(int port) {
   for (size_t i = 0; i < options_.workers; ++i) {
     worker_pool_->Submit([this] { WorkerLoop(); });
   }
+  filler_ = std::jthread([this](std::stop_token stop) {
+    engine_->FillAlignMemos(stop, options_.filler_hook_for_test);
+  });
   return Status::Ok();
 }
 
@@ -45,13 +50,20 @@ int AsyncServer::port() const {
 }
 
 std::optional<std::string> AsyncServer::OnLine(net::EventLoop::Line&& line) {
+  std::optional<std::string> answer = AnswerOrQueue(std::move(line));
+  if (answer.has_value()) loop_answered_.Increment();
+  return answer;
+}
+
+std::optional<std::string> AsyncServer::AnswerOrQueue(
+    net::EventLoop::Line&& line) {
   // Runs on the loop thread: the line's one decode, the admission
-  // decisions, and the answers that need no engine work. Every answer
+  // decisions, and the answers that are bounded lookups. Every answer
   // reuses Server's code, so bytes and counters match the stdin path.
   if (line.oversized) return server_.RejectOversized(line.observed_bytes);
   StatusOr<Request> request = server_.Decode(line.text);
   if (!request.ok()) return server_.RejectUndecodable(request.status());
-  std::optional<std::string> answer = server_.AnswerFromMemo(*request);
+  std::optional<std::string> answer = server_.AnswerLookup(*request);
   if (answer.has_value()) return answer;
   if (!admission_queue_.TryPush(Admitted{line.loop, line.conn, line.seq,
                                          std::move(*request), WallTimer()})) {
@@ -106,6 +118,9 @@ void AsyncServer::Shutdown() {
 
 void AsyncServer::TeardownOnce() {
   std::call_once(teardown_once_, [this] {
+    // The filler stops at its next block (at most 16 rows away).
+    filler_.request_stop();
+    if (filler_.joinable()) filler_.join();
     if (loops_ != nullptr) loops_->BeginDrain();
     admission_queue_.Close();
     worker_pool_.reset();  // joins workers once the queue drains

@@ -2,22 +2,31 @@
 //
 //   event loops ──► bounded MPMC queue ──► worker pool ──┐
 //   (net/EventLoopGroup) (net/BoundedQueue)  (util/ThreadPool)
-//     ▲  │ decode; undecodable line or memo hit: answered  │
+//     ▲  │ decode; undecodable line or lookup: answered    │
 //     └──┴──────────── Send(loop, conn, seq, response) ◄───┘
+//   memo filler (one thread): fills each current version's align memo
 //
 // `workers` event loops, one thread each, own the sockets: loop 0 accepts
 // and hands each connection round-robin to a loop, which frames its
 // NDJSON request lines (partial reads, oversized-line draining) and
 // writes its responses back in request order. The loop decodes each line
 // once (Server::Decode counts it and starts its deadline) and answers
-// what needs no engine work: a line that does not decode, and a
-// single-entity align whose row the current snapshot version's align
-// memo holds (Server::AnswerFromMemo: one row's render, no top-k, no
-// queue, no thread hop). Workers pop every other request from a bounded
-// queue and run it through Server::Answer, the tail of the stdin path's
-// HandleLine, so bytes and counters match it by construction. An align
-// the memo cannot answer runs its own top-k on the worker that dequeued
-// it: there is no cross-request batching and no hold.
+// what is a bounded lookup in the pinned version (Server::AnswerLookup:
+// no top-k, no explain render, no queue, no thread hop): a line that
+// does not decode, a single-entity align whose row the align memo holds,
+// a neighbors or repair_status request, and an explain whose rendering
+// the cache holds. Workers pop every other request from a bounded queue and
+// run it through Server::Answer, the tail of the stdin path's HandleLine,
+// so bytes and counters match it by construction. An align the memo
+// cannot answer runs its own top-k on the worker that dequeued it: there
+// is no cross-request batching and no hold.
+//
+// The memo filler (QueryEngine::FillAlignMemos) starts with the server
+// and wakes whenever a new snapshot version becomes current: it fills the
+// version's empty align-memo rows 16 at a time on its own thread (one
+// core, about 0.12 s for 4000 rows), so nearly every single-entity align
+// is answered on a loop. It drops a version as soon as a swap retires it,
+// and it is joined at shutdown. The stdin path never runs it.
 //
 // Admission control, in the order a request meets it:
 //   1. max_connections — excess connects are closed at accept
@@ -30,8 +39,10 @@
 //   4. deadline shed — a request's deadline starts at admission (decode);
 //      one that expires while queued is shed right after dequeue, before
 //      any engine work (serve.deadline_exceeded + serve.shed).
-// The loop answers an undecodable line or a memo-hit align before 3.
-// serve.op.<op> counts at decode, so it includes rejections and sheds.
+// The loop answers an undecodable line or a lookup before 3, unless its
+// deadline has expired: that request is queued and shed at 4.
+// serve.op.<op> counts at decode, so it includes rejections and sheds;
+// serve.loop_answered counts every line a loop answered itself.
 //
 // Shutdown ({"op":"shutdown"} or Shutdown()): the loops stop accepting
 // and reading, the queue closes, workers drain every admitted request,
@@ -54,6 +65,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "net/bounded_queue.h"
 #include "net/event_loop.h"
@@ -87,6 +99,11 @@ struct AsyncServerOptions {
   // deadlines deterministically. Lines answered on a loop never reach
   // it. Never set in production.
   std::function<void()> worker_hook_for_test;
+
+  // Test seam: runs on the memo filler before each block — lets tests
+  // keep a version's memo cold (so aligns miss and reach the queue) or
+  // stop a fill midway. Never set in production.
+  std::function<void()> filler_hook_for_test;
 };
 
 class AsyncServer {
@@ -130,18 +147,23 @@ class AsyncServer {
   };
 
   // Runs on the loop thread that framed `line`: its response when the
-  // loop answers it, std::nullopt once it is queued for a worker.
+  // loop answers it (counted under serve.loop_answered), std::nullopt
+  // once it is queued for a worker.
   std::optional<std::string> OnLine(net::EventLoop::Line&& line);
+  std::optional<std::string> AnswerOrQueue(net::EventLoop::Line&& line);
   void WorkerLoop();
   void TeardownOnce();
 
   AsyncServerOptions options_;
+  QueryEngine* engine_;
   obs::Registry* registry_;  // never null; resolved like Server's
   Server server_;
   net::BoundedQueue<Admitted> admission_queue_;
   std::unique_ptr<net::EventLoopGroup> loops_;
   std::unique_ptr<util::ThreadPool> worker_pool_;
+  std::jthread filler_;  // runs engine_->FillAlignMemos
   obs::Gauge& queue_depth_;
+  obs::Counter& loop_answered_;
   std::once_flag teardown_once_;
 
   // mu_ protects everything declared after it (the class convention the

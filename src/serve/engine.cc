@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <filesystem>
 
 #include "explain/export.h"
@@ -14,8 +13,14 @@
 namespace exea::serve {
 namespace {
 
-uint64_t PairKey(kg::EntityId e1, kg::EntityId e2) {
-  return static_cast<uint64_t>(e1) << 32 | e2;
+// The explain cache key of (e1, e2) on `state`. The epoch makes the key
+// version-relative: after a swap the same (name, name) pair resolves to a
+// different key, so a pre-swap entry can never answer a post-swap
+// request — even when a laggard renderer Puts its stale result after the
+// swap's Clear() already ran.
+ExplainLruCache::Key ExplainKey(const ServingState& state, kg::EntityId e1,
+                                kg::EntityId e2) {
+  return {state.epoch(), static_cast<uint64_t>(e1) << 32 | e2};
 }
 
 // Target tables below this many rows scan faster than they probe, so
@@ -121,7 +126,8 @@ QueryEngine::QueryEngine(std::unique_ptr<SnapshotBundle> bundle,
       cache_hits_(registry_->GetCounter("serve.explain_cache.hits")),
       cache_misses_(registry_->GetCounter("serve.explain_cache.misses")),
       cache_invalidations_(
-          registry_->GetCounter("serve.explain_cache.invalidations")) {
+          registry_->GetCounter("serve.explain_cache.invalidations")),
+      align_memo_misses_(registry_->GetCounter("serve.align_memo.misses")) {
   manager_.Install(BuildState(std::move(bundle), std::move(source)));
 }
 
@@ -206,6 +212,8 @@ EngineStatusResult QueryEngine::EngineStatus() const {
   result.live_versions = registry_->GaugeValue("serve.snapshot.versions");
   result.swaps = registry_->CounterValue("serve.snapshot.swaps");
   result.explain_cache_size = cache_.size();
+  result.memo_filled = state->MemoRowsFilled();
+  result.memo_rows = state->memo_rows();
   return result;
 }
 
@@ -238,26 +246,21 @@ StatusOr<std::vector<AlignResult>> QueryEngine::AlignBatch(
     const std::vector<std::string>& sources, const Deadline& deadline) const {
   auto lookup = LookUpAlign(*this, sources, deadline);
   if (!lookup.ok()) return lookup.status();
-  const ServingState& state = *lookup->state;
-  const SnapshotBundle& bundle = state.bundle();
 
   // The rows the memo could not answer go to one batched top-k, which
   // the similarity kernel splits over the worker pool, and fill the memo.
   std::vector<std::vector<la::ScoredIndex>> computed;
   if (!lookup->missed.empty()) {
-    la::Matrix queries(lookup->missed.size(), bundle.emb1.cols());
-    for (size_t j = 0; j < lookup->missed.size(); ++j) {
-      const float* row = bundle.emb1.Row(lookup->ids[lookup->missed[j]]);
-      std::copy(row, row + bundle.emb1.cols(), queries.Row(j));
-    }
+    align_memo_misses_.Increment(lookup->missed.size());
+    std::vector<kg::EntityId> missed_ids;
+    missed_ids.reserve(lookup->missed.size());
+    for (size_t i : lookup->missed) missed_ids.push_back(lookup->ids[i]);
     {
       obs::Span span(registry_, "serve.align_topk");
-      computed = state.index().TopKAll(queries, state.top_k());
+      computed = lookup->state->ComputeTopK(missed_ids);
     }
     for (size_t j = 0; j < lookup->missed.size(); ++j) {
-      size_t i = lookup->missed[j];
-      state.MemoizeTopK(lookup->ids[i], computed[j]);
-      lookup->topk[i] = &computed[j];
+      lookup->topk[lookup->missed[j]] = &computed[j];
     }
   }
   return BuildAlignResults(*lookup, sources);
@@ -296,24 +299,11 @@ StatusOr<ExplainResult> QueryEngine::Explain(const std::string& source,
   const SnapshotBundle& bundle = state->bundle();
   EXEA_DCHECK_LT(*e1, bundle.dataset.kg1.num_entities());
   EXEA_DCHECK_LT(*e2, bundle.dataset.kg2.num_entities());
-  // The epoch makes the key version-relative: after a swap the same
-  // (name, name) pair resolves to a different key, so a pre-swap entry
-  // can never answer a post-swap request — even when a laggard renderer
-  // Puts its stale result after the swap's Clear() already ran.
-  ExplainLruCache::Key key{state->epoch(), PairKey(*e1, *e2)};
+  ExplainLruCache::Key key = ExplainKey(*state, *e1, *e2);
 
-  if (options_.explain_cache_capacity > 0) {
-    ExplainLruCache::Entry cached;
-    if (cache_.Get(key, &cached)) {
-      cache_hits_.Increment();
-      ExplainResult result;
-      result.json = std::move(cached.json);
-      result.confidence = cached.confidence;
-      result.cache_hit = true;
-      return result;
-    }
-    cache_misses_.Increment();
-  }
+  std::optional<ExplainResult> cached = ReadExplainCache(key);
+  if (cached.has_value()) return std::move(*cached);
+  if (options_.explain_cache_capacity > 0) cache_misses_.Increment();
   if (deadline.Expired()) {
     return Status::DeadlineExceeded(
         "explain: deadline expired before generation");
@@ -338,6 +328,31 @@ StatusOr<ExplainResult> QueryEngine::Explain(const std::string& source,
   if (options_.explain_cache_capacity > 0) {
     cache_.Put(key, ExplainLruCache::Entry{result.json, result.confidence});
   }
+  return result;
+}
+
+std::optional<ExplainResult> QueryEngine::ExplainFromCache(
+    const std::string& source, const std::string& target) const {
+  std::shared_ptr<const ServingState> state = AcquireState();
+  kg::EntityId e1 = state->bundle().dataset.kg1.FindEntity(source);
+  kg::EntityId e2 = state->bundle().dataset.kg2.FindEntity(target);
+  if (e1 == kg::kInvalidEntity || e2 == kg::kInvalidEntity) {
+    return std::nullopt;
+  }
+  return ReadExplainCache(ExplainKey(*state, e1, e2));
+}
+
+std::optional<ExplainResult> QueryEngine::ReadExplainCache(
+    const ExplainLruCache::Key& key) const {
+  ExplainLruCache::Entry cached;
+  if (options_.explain_cache_capacity == 0 || !cache_.Get(key, &cached)) {
+    return std::nullopt;
+  }
+  cache_hits_.Increment();
+  ExplainResult result;
+  result.json = std::move(cached.json);
+  result.confidence = cached.confidence;
+  result.cache_hit = true;
   return result;
 }
 
@@ -397,5 +412,23 @@ StatusOr<RepairStatusResult> QueryEngine::RepairStatus(
 }
 
 void QueryEngine::ClearExplainCache() { cache_.Clear(); }
+
+void QueryEngine::FillAlignMemos(
+    std::stop_token stop, const std::function<void()>& before_block) const {
+  uint64_t seen = 0;  // the epoch filled (or dropped) last
+  while (true) {
+    // Declared inside the loop, so a dropped version's handle is released
+    // before the next wait rather than pinned through it.
+    std::shared_ptr<const ServingState> state =
+        manager_.AwaitNewer(seen, stop);
+    if (state == nullptr) return;  // stop requested
+    seen = state->epoch();
+    for (size_t row = 0; row < state->memo_rows();) {
+      if (before_block) before_block();
+      if (stop.stop_requested() || manager_.Acquire() != state) break;
+      row = state->FillMemoBlock(row);
+    }
+  }
+}
 
 }  // namespace exea::serve

@@ -4,11 +4,13 @@
 //
 //   align(e)          — served alignment of a source entity plus the top-k
 //                       embedding-similarity candidates, computed once
-//                       per entity per version: the first align runs the
-//                       version's one SimilarityIndex (exact or IVF, which
-//                       fans out on the process-wide util::ThreadPool) and
-//                       fills the version's align memo; later aligns of
-//                       that entity read the memo,
+//                       per entity per version: an align that finds the
+//                       row missing runs the version's one SimilarityIndex
+//                       (exact or IVF, which fans out on the process-wide
+//                       util::ThreadPool) and fills the version's align
+//                       memo; later aligns of that entity read the memo.
+//                       FillAlignMemos fills every row ahead of the
+//                       aligns (the TCP server runs it on one thread),
 //   explain(e1, e2)   — the ExEA matching subgraph + ADG for a pair,
 //                       rendered to JSON; by far the expensive path, so
 //                       results go through an LRU cache,
@@ -41,9 +43,11 @@
 #define EXEA_SERVE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stop_token>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,6 +151,8 @@ struct EngineStatusResult {
   double live_versions = 0.0;  // current + reader-pinned (gauge)
   uint64_t swaps = 0;          // successful load_snapshot replacements
   size_t explain_cache_size = 0;
+  size_t memo_filled = 0;      // the current version's filled memo rows
+  size_t memo_rows = 0;        // ... out of its KG1 rows
 };
 
 class QueryEngine {
@@ -216,6 +222,13 @@ class QueryEngine {
                                   const std::string& target,
                                   const Deadline& deadline) const;
 
+  // Explain's cache read alone: the cached rendering for the pair, counted
+  // as a hit, or std::nullopt, counting nothing, when either name does not
+  // resolve or the cache does not hold the pair (Explain then answers and
+  // counts the miss). Never renders, so an event-loop thread may call it.
+  std::optional<ExplainResult> ExplainFromCache(
+      const std::string& source, const std::string& target) const;
+
   // `side` is 1 (KG1) or 2 (KG2).
   [[nodiscard]]
   StatusOr<NeighborsResult> Neighbors(const std::string& entity, int side,
@@ -228,8 +241,19 @@ class QueryEngine {
 
   void ClearExplainCache();  // benches: measure the cold path repeatedly
 
+  // Fills the align memo of each version that becomes current until
+  // `stop` is requested: waits for a version it has not seen (no
+  // polling; Install wakes it), fills its empty rows block by block
+  // (ServingState::FillMemoBlock, one core), and drops the version at the
+  // next block once a swap retires it. `before_block` (may be empty) runs
+  // before each block; it is a test seam. Call from one dedicated thread.
+  void FillAlignMemos(std::stop_token stop,
+                      const std::function<void()>& before_block) const;
+
   // The registry this engine's metrics live in:
   //   span.serve.align_topk                  top-k dispatches of memo misses
+  //   serve.align_memo.misses                align rows that ran a top-k on
+  //                                          a request path (memo misses)
   //   serve.explain_cache.hits / .misses     counters
   //   serve.explain_cache.invalidations      counter (clears on swap)
   //   serve.explain_cache.size               gauge
@@ -251,6 +275,10 @@ class QueryEngine {
   [[nodiscard]] StatusOr<kg::EntityId> ResolveTarget(
       const ServingState& state, const std::string& name) const;
 
+  // The cached rendering under `key`, counted as a hit, or std::nullopt.
+  std::optional<ExplainResult> ReadExplainCache(
+      const ExplainLruCache::Key& key) const;
+
   EngineOptions options_;
   obs::Registry* registry_;  // never null; set from options in the ctor
   SnapshotManager manager_;
@@ -262,6 +290,7 @@ class QueryEngine {
   obs::Counter& cache_hits_;
   obs::Counter& cache_misses_;
   obs::Counter& cache_invalidations_;
+  obs::Counter& align_memo_misses_;
 
   // Serializes LoadSnapshot callers (reads stay lock-free on this path:
   // they only touch the manager's own mutex for the pointer copy).

@@ -392,16 +392,20 @@ StatusOr<std::string> HandleAlign(const QueryEngine& engine,
   return RenderAlign(request, *results);
 }
 
+std::string RenderExplain(const ExplainResult& result) {
+  return StrFormat(
+      "{\"ok\":true,\"op\":\"explain\",\"cache_hit\":%s,"
+      "\"confidence\":%.6f,\"result\":%s}",
+      result.cache_hit ? "true" : "false", result.confidence,
+      result.json.c_str());
+}
+
 StatusOr<std::string> HandleExplain(QueryEngine& engine,
                                     const Request& request) {
   auto result =
       engine.Explain(request.source, request.target, request.deadline);
   if (!result.ok()) return result.status();
-  return StrFormat(
-      "{\"ok\":true,\"op\":\"explain\",\"cache_hit\":%s,"
-      "\"confidence\":%.6f,\"result\":%s}",
-      result->cache_hit ? "true" : "false", result->confidence,
-      result->json.c_str());
+  return RenderExplain(*result);
 }
 
 StatusOr<std::string> HandleNeighbors(QueryEngine& engine,
@@ -460,6 +464,32 @@ StatusOr<std::string> HandleLoadSnapshot(QueryEngine& engine,
   return out.str();
 }
 
+// The answer to `request` when it is a bounded lookup in the pinned
+// version — a single-entity align the memo holds, neighbors,
+// repair_status, an explain the cache holds — or std::nullopt. Never runs
+// a top-k or a render, and never reaches Dispatch: an event loop calls it.
+std::optional<StatusOr<std::string>> LookUp(QueryEngine& engine,
+                                            const Request& request) {
+  switch (request.op) {
+    case Op::kAlign: {
+      if (request.batched) return std::nullopt;
+      std::optional<std::vector<AlignResult>> results =
+          engine.AlignBatchFromMemo(request.entities, request.deadline);
+      if (!results.has_value()) return std::nullopt;
+      return RenderAlign(request, *results);
+    }
+    case Op::kExplain: {
+      std::optional<ExplainResult> cached =
+          engine.ExplainFromCache(request.source, request.target);
+      if (!cached.has_value()) return std::nullopt;
+      return RenderExplain(*cached);
+    }
+    case Op::kNeighbors: return HandleNeighbors(engine, request);
+    case Op::kRepairStatus: return HandleRepairStatus(engine, request);
+    default: return std::nullopt;
+  }
+}
+
 std::string EngineStatusJson(const QueryEngine& engine) {
   EngineStatusResult status = engine.EngineStatus();
   std::ostringstream out;
@@ -469,7 +499,9 @@ std::string EngineStatusJson(const QueryEngine& engine) {
       << "\",\"index_size\":" << status.index_size
       << ",\"live_versions\":" << static_cast<uint64_t>(status.live_versions)
       << ",\"swaps\":" << status.swaps << ",\"explain_cache_size\":"
-      << status.explain_cache_size << "}";
+      << status.explain_cache_size
+      << ",\"align_memo_filled\":" << status.memo_filled
+      << ",\"align_memo_rows\":" << status.memo_rows << "}";
   return out.str();
 }
 
@@ -567,22 +599,22 @@ StatusOr<Request> Server::Decode(const std::string& line) {
 
 std::string Server::Answer(const Request& request) {
   WallTimer timer;
-  StatusOr<std::string> response = Dispatch(request);
+  return CountOutcome(Dispatch(request), timer);
+}
+
+std::optional<std::string> Server::AnswerLookup(const Request& request) {
+  if (request.deadline.Expired()) return std::nullopt;
+  WallTimer timer;
+  std::optional<StatusOr<std::string>> response = LookUp(*engine_, request);
+  if (!response.has_value()) return std::nullopt;
+  return CountOutcome(std::move(*response), timer);
+}
+
+std::string Server::CountOutcome(StatusOr<std::string> response,
+                                 const WallTimer& timer) {
   if (response.ok()) ok_.Increment();
   std::string out = response.ok() ? std::move(response).value()
                                   : CountError(response.status());
-  latency_ms_.Record(timer.ElapsedMillis());
-  return out;
-}
-
-std::optional<std::string> Server::AnswerFromMemo(const Request& request) {
-  if (request.op != Op::kAlign || request.batched) return std::nullopt;
-  WallTimer timer;
-  std::optional<std::vector<AlignResult>> results =
-      engine_->AlignBatchFromMemo(request.entities, request.deadline);
-  if (!results.has_value()) return std::nullopt;
-  std::string out = RenderAlign(request, *results);
-  ok_.Increment();
   latency_ms_.Record(timer.ElapsedMillis());
   return out;
 }
@@ -637,6 +669,12 @@ std::string Server::StatsJson() const {
       << ",\"explain_cache_size\":"
       << static_cast<uint64_t>(
              engine_registry.GaugeValue("serve.explain_cache.size"))
+      << ",\"align_memo_filled\":" << engine_status.memo_filled
+      << ",\"align_memo_rows\":" << engine_status.memo_rows
+      << ",\"align_memo_misses\":"
+      << engine_registry.CounterValue("serve.align_memo.misses")
+      << ",\"loop_answered\":"
+      << registry_->CounterValue("serve.loop_answered")
       << ",\"latency_count\":" << latency.count
       << StrFormat(",\"latency_p50_ms\":%.3f,\"latency_p99_ms\":%.3f",
                    latency.p50, latency.p99)

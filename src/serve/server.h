@@ -21,7 +21,8 @@
 //
 // Each line is decoded once into a typed Request (Decode) and answered by
 // its op's handler as a StatusOr (Answer), counted by Status code alone.
-// AsyncServer decodes on the event loop and answers on a worker.
+// AsyncServer decodes on the event loop, answers a bounded lookup there
+// (AnswerLookup), and queues the rest for a worker's Answer.
 //
 // The server records its traffic into an obs::Registry (requests, per-op
 // counts, errors, cache hits/misses via the engine, and a latency
@@ -43,6 +44,7 @@
 #include "obs/metrics.h"
 #include "serve/engine.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace exea::serve {
 
@@ -114,11 +116,14 @@ class Server {
   // the handler. May block, so an event loop never calls it.
   std::string Answer(const Request& request);
 
-  // Answer's bytes and counts for a single-entity align ("entity", not
-  // "entities") whose name resolves, whose deadline holds and whose row
-  // the current version's align memo has; std::nullopt, counting nothing,
-  // for any other request. Never runs a top-k: an event loop may call it.
-  std::optional<std::string> AnswerFromMemo(const Request& request);
+  // Answer's bytes and counts for a request whose deadline holds and
+  // that is a bounded lookup in the current version: a single-entity align
+  // ("entity", not "entities") whose name resolves and whose row the align
+  // memo has, a neighbors or repair_status request (an error answer
+  // included), or an explain whose rendering the cache holds (counted as
+  // the hit). std::nullopt, counting nothing, for any other request. Never
+  // runs a top-k or an explain render: an event loop may call it.
+  std::optional<std::string> AnswerLookup(const Request& request);
 
   // Reads requests from `in` until EOF or {"op":"shutdown"}; writes one
   // response line per request to `out` (flushed per line, so a pipe peer
@@ -130,6 +135,7 @@ class Server {
   //   .deadline_exceeded                      counters
   //   serve.op.<op>                           one request counter per op
   //   serve.latency_ms                        handler time per answered line
+  // AsyncServer adds serve.loop_answered: lines a loop answered itself.
   const obs::Registry& registry() const { return *registry_; }
 
   // The server + engine metrics as a JSON object (the "stats" response
@@ -167,6 +173,10 @@ class Server {
   [[nodiscard]] StatusOr<std::string> Dispatch(const Request& request);
   // Counts a failed request by its Status code and renders the response.
   std::string CountError(const Status& status);
+  // Answer's and AnswerLookup's tail: counts `response` (serve.ok or
+  // CountError) and one serve.latency_ms sample since `timer` started.
+  std::string CountOutcome(StatusOr<std::string> response,
+                           const WallTimer& timer);
 
   QueryEngine* engine_;
   ServerOptions options_;

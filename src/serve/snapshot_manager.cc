@@ -1,5 +1,6 @@
 #include "serve/snapshot_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace exea::serve {
@@ -41,15 +42,46 @@ const std::vector<la::ScoredIndex>* ServingState::MemoizedTopK(
   return &slot.candidates;
 }
 
-void ServingState::MemoizeTopK(kg::EntityId e,
-                               const std::vector<la::ScoredIndex>& row) const {
-  EXEA_DCHECK_LT(e, topk_memo_.size());
-  EXEA_DCHECK_LE(row.size(), top_k_);
-  TopKSlot& slot = topk_memo_[e];
-  uint8_t expected = kEmpty;
-  if (!slot.state.compare_exchange_strong(expected, kFilling)) return;
-  slot.candidates.assign(row.begin(), row.end());
-  slot.state.store(kReady, std::memory_order_release);
+std::vector<std::vector<la::ScoredIndex>> ServingState::ComputeTopK(
+    const std::vector<kg::EntityId>& ids) const {
+  const la::Matrix& emb1 = bundle_->emb1;
+  la::Matrix queries(ids.size(), emb1.cols());
+  for (size_t j = 0; j < ids.size(); ++j) {
+    const float* row = emb1.Row(ids[j]);
+    std::copy(row, row + emb1.cols(), queries.Row(j));
+  }
+  std::vector<std::vector<la::ScoredIndex>> rows =
+      index_->TopKAll(queries, top_k_);
+  for (size_t j = 0; j < ids.size(); ++j) {
+    EXEA_DCHECK_LT(ids[j], topk_memo_.size());
+    EXEA_DCHECK_LE(rows[j].size(), top_k_);
+    TopKSlot& slot = topk_memo_[ids[j]];
+    uint8_t expected = kEmpty;
+    if (!slot.state.compare_exchange_strong(expected, kFilling)) continue;
+    slot.candidates.assign(rows[j].begin(), rows[j].end());
+    slot.state.store(kReady, std::memory_order_release);
+  }
+  return rows;
+}
+
+size_t ServingState::FillMemoBlock(size_t first) const {
+  size_t end = std::min(first + kFillBlockRows, topk_memo_.size());
+  std::vector<kg::EntityId> empty;
+  for (size_t e = first; e < end; ++e) {
+    if (topk_memo_[e].state.load(std::memory_order_acquire) == kEmpty) {
+      empty.push_back(static_cast<kg::EntityId>(e));
+    }
+  }
+  if (!empty.empty()) ComputeTopK(empty);
+  return end;
+}
+
+size_t ServingState::MemoRowsFilled() const {
+  size_t filled = 0;
+  for (const TopKSlot& slot : topk_memo_) {
+    if (slot.state.load(std::memory_order_acquire) == kReady) ++filled;
+  }
+  return filled;
 }
 
 SnapshotManager::SnapshotManager(obs::Registry* registry)
@@ -77,6 +109,7 @@ uint64_t SnapshotManager::Install(std::unique_ptr<const ServingState> state) {
     if (current_ != nullptr) swaps_.Increment();
     current_.swap(handle);
   }
+  installed_cv_.notify_all();
   // `handle` now holds the retired version, if any. Dropping it here,
   // outside mu_, keeps an unpinned version's free (milliseconds for a
   // large bundle with warm path memos) off every reader's Acquire().
@@ -87,6 +120,15 @@ uint64_t SnapshotManager::Install(std::unique_ptr<const ServingState> state) {
 std::shared_ptr<const ServingState> SnapshotManager::Acquire() const {
   std::lock_guard<std::mutex> lock(mu_);
   return current_;
+}
+
+std::shared_ptr<const ServingState> SnapshotManager::AwaitNewer(
+    uint64_t seen, std::stop_token stop) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  bool installed = installed_cv_.wait(lock, stop, [&] {
+    return current_ != nullptr && current_->epoch() != seen;
+  });
+  return installed && !stop.stop_requested() ? current_ : nullptr;
 }
 
 }  // namespace exea::serve

@@ -10,9 +10,11 @@
 // The one thing a version learns after it is built is its align memo:
 // one slot per KG1 entity holding that entity's top-k candidates from
 // the version's index. The index is deterministic and the embeddings are
-// frozen, so the first align of an entity fills its slot and every later
-// align on the same version reads it. The memo lives and dies with its
-// version, so a swap needs no invalidation.
+// frozen, so whichever computes a slot first — an align that missed it,
+// or the TCP server's filler working through FillMemoBlock — fills it
+// with the same bits, and every later align on the same version reads
+// it. The memo lives and dies with its version, so a swap needs no
+// invalidation.
 //
 // The SnapshotManager holds only the current version, behind a
 // refcounted handle:
@@ -27,6 +29,8 @@
 //                version never stalls a reader's Acquire(); a version
 //                some reader still pins lives exactly until that
 //                reader's last handle drops.
+//   AwaitNewer() — blocks until Install() makes some other version
+//                current (the memo filler's wake-up; no polling).
 //
 // Metrics (in the engine's registry):
 //   serve.snapshot.versions  gauge   — ServingState objects currently
@@ -40,9 +44,11 @@
 #define EXEA_SERVE_SNAPSHOT_MANAGER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -84,17 +90,34 @@ class ServingState {
   size_t top_k() const { return top_k_; }
 
   // KG1 entity `e`'s memoized index().TopKAll row at top_k(), or nullptr
-  // until an align on this version has computed it. Takes no lock; the
+  // until ComputeTopK on this version has covered it. Takes no lock; the
   // row stays valid while the caller pins this state. `e` must be an
   // emb1 row.
   const std::vector<la::ScoredIndex>* MemoizedTopK(kg::EntityId e) const;
 
-  // Offers `row`, index().TopKAll's answer for `e` at top_k(), to the
-  // memo. The first offer fills the slot; an offer for a slot another
-  // align already claimed is dropped without waiting, since both
-  // computed the same bits.
-  void MemoizeTopK(kg::EntityId e,
-                   const std::vector<la::ScoredIndex>& row) const;
+  // Runs one index().TopKAll over the emb1 rows of `ids` at top_k() and
+  // offers each answer to its memo slot; returns the rows in `ids`
+  // order. The first offer fills a slot; an offer for a slot another
+  // caller already claimed is dropped without waiting, since both
+  // computed the same bits. Every memo row, whether an align that missed
+  // or the filler computed it, is made here.
+  std::vector<std::vector<la::ScoredIndex>> ComputeTopK(
+      const std::vector<kg::EntityId>& ids) const;
+
+  // Rows per FillMemoBlock call: the similarity kernels run a block of
+  // this many query rows inline on the calling thread (their kRowGrain),
+  // so a fill never fans out over the process-wide pool.
+  static constexpr size_t kFillBlockRows = 16;
+
+  // ComputeTopK over the memo slots still empty among rows [first,
+  // first + kFillBlockRows). Returns the next block's first row
+  // (memo_rows() once every block is done).
+  size_t FillMemoBlock(size_t first) const;
+
+  // One memo slot per KG1 entity (emb1 row), and how many of them hold
+  // their candidates (a scan of the slots' ready flags).
+  size_t memo_rows() const { return topk_memo_.size(); }
+  size_t MemoRowsFilled() const;
 
  private:
   // One align-memo slot. `candidates` is written once, by the offer that
@@ -116,7 +139,7 @@ class ServingState {
   explain::ExeaExplainer explainer_;
   explain::AlignmentContext context_;
   size_t top_k_;
-  // One slot per emb1 row, empty until that entity's first align.
+  // One slot per emb1 row, empty until ComputeTopK first covers it.
   mutable std::vector<TopKSlot> topk_memo_;
 };
 
@@ -143,6 +166,12 @@ class SnapshotManager {
   // it is dropped.
   std::shared_ptr<const ServingState> Acquire() const;
 
+  // Blocks until the current version's epoch is not `seen` (0 matches
+  // none), then pins and returns it; nullptr once `stop` is requested.
+  // Install() wakes it.
+  std::shared_ptr<const ServingState> AwaitNewer(uint64_t seen,
+                                                 std::stop_token stop) const;
+
  private:
   obs::Gauge& versions_gauge_;
   obs::Counter& swaps_;
@@ -150,6 +179,7 @@ class SnapshotManager {
 
   // mu_ protects everything declared after it.
   mutable std::mutex mu_;
+  mutable std::condition_variable_any installed_cv_;
   std::shared_ptr<const ServingState> current_ EXEA_GUARDED_BY(mu_);
 };
 

@@ -389,6 +389,60 @@ TEST(AlignmentTest, SortedPairsDeterministic) {
   EXPECT_EQ(pairs[2].target, 2u);
 }
 
+// Random Add/Remove sequences over a few ids (so one-to-many conflicts
+// and re-adds are common) against a plain std::set of pairs: every
+// return value and every accessor must agree with the set-of-pairs
+// semantics, for ids in the set and ids never added.
+TEST(AlignmentTest, RandomEditsMatchSetOfPairsModel) {
+  constexpr EntityId kIds = 9;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    AlignmentSet alignment;
+    std::set<std::pair<EntityId, EntityId>> model;
+    for (int step = 0; step < 400; ++step) {
+      EntityId source = static_cast<EntityId>(rng.UniformInt(kIds));
+      EntityId target = static_cast<EntityId>(rng.UniformInt(kIds));
+      if (rng.Bernoulli(0.6)) {
+        ASSERT_EQ(alignment.Add(source, target),
+                  model.insert({source, target}).second);
+      } else {
+        ASSERT_EQ(alignment.Remove(source, target),
+                  model.erase({source, target}) == 1);
+      }
+      ASSERT_EQ(alignment.size(), model.size());
+      ASSERT_EQ(alignment.empty(), model.empty());
+
+      std::vector<AlignedPair> pairs;
+      for (const auto& [s, t] : model) pairs.push_back({s, t});
+      ASSERT_EQ(alignment.SortedPairs(), pairs) << "seed " << seed;
+      bool one_to_one = true;
+      for (EntityId id = 0; id <= kIds; ++id) {  // kIds is never added
+        std::vector<EntityId> targets;
+        std::vector<EntityId> sources;
+        for (const auto& [s, t] : model) {
+          if (s == id) targets.push_back(t);
+          if (t == id) sources.push_back(s);
+        }
+        std::sort(sources.begin(), sources.end());
+        one_to_one = one_to_one && targets.size() <= 1 && sources.size() <= 1;
+        ASSERT_EQ(alignment.TargetsOf(id), targets);
+        ASSERT_EQ(alignment.SourcesOf(id), sources);
+        ASSERT_EQ(alignment.HasSource(id), !targets.empty());
+        ASSERT_EQ(alignment.HasTarget(id), !sources.empty());
+        ASSERT_EQ(alignment.UniqueTargetOf(id),
+                  targets.size() == 1 ? targets[0] : kInvalidEntity);
+        ASSERT_EQ(alignment.UniqueSourceOf(id),
+                  sources.size() == 1 ? sources[0] : kInvalidEntity);
+        for (EntityId other = 0; other <= kIds; ++other) {
+          ASSERT_EQ(alignment.Contains(id, other),
+                    model.count({id, other}) > 0);
+        }
+      }
+      ASSERT_EQ(alignment.IsOneToOne(), one_to_one);
+    }
+  }
+}
+
 TEST(AlignmentTest, AccuracyAgainstGold) {
   AlignmentSet predicted;
   predicted.Add(1, 10);

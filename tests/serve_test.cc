@@ -40,6 +40,7 @@
 #include "serve/snapshot.h"
 #include "util/parallel.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace exea {
 namespace {
@@ -1552,9 +1553,16 @@ class AsyncClient {
 class AsyncServerTest : public ServeTest {
  protected:
   void StartAsync(serve::AsyncServerOptions options = {}) {
-    serve::EngineOptions engine_options;
+    StartAsyncOn(WriteBundle(), serve::EngineOptions{}, options);
+  }
+
+  // Serves `bundle` through an engine built with `engine_options` (its
+  // registry replaced by registry_).
+  void StartAsyncOn(const std::string& bundle,
+                    serve::EngineOptions engine_options,
+                    const serve::AsyncServerOptions& options) {
     engine_options.registry = &registry_;
-    auto engine = serve::QueryEngine::Open(WriteBundle(), engine_options);
+    auto engine = serve::QueryEngine::Open(bundle, engine_options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(*engine);
     // options.server.registry stays nullptr: the async server must share
@@ -1564,8 +1572,33 @@ class AsyncServerTest : public ServeTest {
     ASSERT_TRUE(started.ok()) << started.ToString();
   }
 
+  // Parks the memo filler before its first block until the test ends, so
+  // a version's memo fills only through aligns that miss it — each of
+  // which reaches a worker.
+  void HoldFiller(serve::AsyncServerOptions* options) {
+    options->filler_hook_for_test = [this] {
+      std::unique_lock<std::mutex> lock(filler_mu_);
+      filler_cv_.wait(lock, [this] { return filler_released_; });
+    };
+  }
+
+  // Waits until the current version reports every memo row filled.
+  void AwaitFullMemo() {
+    for (int waited_ms = 0; waited_ms < 20000; ++waited_ms) {
+      serve::EngineStatusResult status = engine_->EngineStatus();
+      if (status.memo_filled == status.memo_rows) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    FAIL() << "the memo filler never filled the current version";
+  }
+
   void TearDown() override {
-    async_.reset();  // joins loop + workers before the engine dies
+    {
+      std::lock_guard<std::mutex> lock(filler_mu_);
+      filler_released_ = true;
+    }
+    filler_cv_.notify_all();
+    async_.reset();  // joins loops, workers and filler before the engine dies
     engine_.reset();
     ServeTest::TearDown();
   }
@@ -1573,6 +1606,9 @@ class AsyncServerTest : public ServeTest {
   obs::Registry registry_;
   std::unique_ptr<serve::QueryEngine> engine_;
   std::unique_ptr<serve::AsyncServer> async_;
+  std::mutex filler_mu_;
+  std::condition_variable filler_cv_;
+  bool filler_released_ = false;
 };
 
 TEST_F(AsyncServerTest, ServedBytesMatchHandleLineForEveryOp) {
@@ -1719,8 +1755,10 @@ TEST_F(AsyncServerTest, FullQueueRejectsImmediatelyWithUnavailable) {
   options.queue_capacity = 2;
   // A gate that parks the single worker on its first dequeue, so the
   // queue's fill level is fully under the test's control. The hook runs
-  // before that first align does, so the memo stays cold and every line
-  // below is a miss that reaches the queue rather than the loop's memo.
+  // before that first align does, and the memo filler is held, so the
+  // memo stays cold and every line below is a miss that reaches the queue
+  // rather than the loop's memo.
+  HoldFiller(&options);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool worker_parked = false;
@@ -1798,11 +1836,13 @@ TEST_F(AsyncServerTest, ExpiredRequestIsShedAfterDequeueBeforeEngineWork) {
       std::this_thread::sleep_for(std::chrono::milliseconds(150));
     }
   };
+  HoldFiller(&options);
   StartAsync(options);
 
-  // Three distinct entities nothing has aligned yet: each line is a memo
-  // miss, so each reaches the queue. (A repeat of the first entity could
-  // be answered from the memo on the loop, and nothing would be shed.)
+  // Three distinct entities nothing has aligned yet, with the memo filler
+  // held: each line is a memo miss, so each reaches the queue. (A repeat
+  // of the first entity could be answered from the memo on the loop, and
+  // nothing would be shed.)
   std::vector<kg::AlignedPair> pairs = Pipeline().repaired.SortedPairs();
   ASSERT_GE(pairs.size(), 3u);
   auto align_request = [&](size_t i) {
@@ -1835,6 +1875,8 @@ TEST_F(AsyncServerTest, ExpiredRequestIsShedAfterDequeueBeforeEngineWork) {
 
 // A line's own "deadline_ms" also counts from admission, where the loop
 // decodes it: a request held past it in the queue is shed, not answered.
+// A batched align always queues (a loop answers single-entity aligns
+// only).
 TEST_F(AsyncServerTest, DeadlineMsCountsFromAdmission) {
   serve::AsyncServerOptions options;
   options.workers = 1;
@@ -1847,7 +1889,7 @@ TEST_F(AsyncServerTest, DeadlineMsCountsFromAdmission) {
   AsyncClient client(async_->port());
   ASSERT_TRUE(client.connected());
   std::string response = client.Ask(StrFormat(
-      "{\"op\":\"neighbors\",\"entity\":\"%s\",\"deadline_ms\":\"10\"}",
+      "{\"op\":\"align\",\"entities\":\"%s\",\"deadline_ms\":\"10\"}",
       source.c_str()));
   EXPECT_EQ(response.rfind("{\"ok\":false", 0), 0u) << response;
   EXPECT_NE(response.find("DEADLINE_EXCEEDED"), std::string::npos) << response;
@@ -1855,7 +1897,7 @@ TEST_F(AsyncServerTest, DeadlineMsCountsFromAdmission) {
   EXPECT_EQ(registry_.CounterValue("serve.shed"), 1u);
   // Decode counted the shed request once, under its op.
   EXPECT_EQ(registry_.CounterValue("serve.requests"), 1u);
-  EXPECT_EQ(registry_.CounterValue("serve.op.neighbors"), 1u);
+  EXPECT_EQ(registry_.CounterValue("serve.op.align"), 1u);
 }
 
 TEST_F(AsyncServerTest, ShutdownOpAnswersAndDrains) {
@@ -1976,6 +2018,7 @@ TEST_F(AsyncServerTest, MemoHitAlignsAnswerOnTheLoopAndCountOnce) {
   serve::AsyncServerOptions options;
   std::atomic<int> dequeued{0};
   options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  HoldFiller(&options);  // the first align must miss the memo
   StartAsync(options);
   std::string request = StrFormat(
       "{\"op\":\"align\",\"entity\":\"%s\"}",
@@ -1992,6 +2035,8 @@ TEST_F(AsyncServerTest, MemoHitAlignsAnswerOnTheLoopAndCountOnce) {
   ASSERT_EQ(client.Ask(request), expected);
   EXPECT_EQ(dequeued.load(), 1);
   EXPECT_EQ(registry_.CounterValue("index.exact.queries"), 1u);
+  EXPECT_EQ(registry_.CounterValue("serve.align_memo.misses"), 1u);
+  EXPECT_EQ(registry_.CounterValue("serve.loop_answered"), 0u);
 
   auto latency_count = [&] {
     return registry_.HistogramSnapshot("serve.latency_ms").count;
@@ -2009,18 +2054,21 @@ TEST_F(AsyncServerTest, MemoHitAlignsAnswerOnTheLoopAndCountOnce) {
   EXPECT_EQ(registry_.CounterValue("serve.op.align"), aligns + kHits);
   EXPECT_EQ(registry_.CounterValue("serve.ok"), ok + kHits);
   EXPECT_EQ(latency_count(), samples + kHits);
+  EXPECT_EQ(registry_.CounterValue("serve.loop_answered"), kHits);
+  EXPECT_EQ(registry_.CounterValue("serve.align_memo.misses"), 1u);
   EXPECT_EQ(registry_.CounterValue("index.exact.queries"), 1u);
   EXPECT_EQ(registry_.CounterValue("serve.errors"), 0u);
   EXPECT_EQ(registry_.CounterValue("serve.malformed"), 0u);
 }
 
-// Everything but a memo-hit single-entity align still goes through the
-// queue to a worker: a miss, a batched align (even of memoized rows), an
-// explain, and an align whose name does not resolve.
+// What is not a bounded lookup still goes through the queue to a worker:
+// an align miss, a batched align (even of memoized rows), an explain the
+// cache does not hold, and an align whose name does not resolve.
 TEST_F(AsyncServerTest, MissesBatchesAndExplainsStillReachWorkers) {
   serve::AsyncServerOptions options;
   std::atomic<int> dequeued{0};
   options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  HoldFiller(&options);  // keeps the first align a miss
   StartAsync(options);
   kg::AlignedPair pair = ServedPair();
   std::string source = Pipeline().dataset.kg1.EntityName(pair.source);
@@ -2081,10 +2129,13 @@ TEST_F(AsyncServerTest, UndecodableLinesAnswerOnTheLoopLikeHandleLine) {
 }
 
 // A swap between two aligns of one entity: the second is answered from
-// the new version (its memo starts empty, so a worker fills it), byte-equal
-// to HandleLine there, and later hits come from the new version's memo.
+// the new version (its memo starts empty and the filler is held, so a
+// worker fills the row), byte-equal to HandleLine there, and later hits
+// come from the new version's memo.
 TEST_F(AsyncServerTest, SwapBetweenAlignsAnswersFromTheNewVersion) {
-  StartAsync();
+  serve::AsyncServerOptions options;
+  HoldFiller(&options);
+  StartAsync(options);
   std::string alt = WriteAltBundle();
   std::string request = StrFormat(
       "{\"op\":\"align\",\"entity\":\"%s\"}",
@@ -2106,6 +2157,281 @@ TEST_F(AsyncServerTest, SwapBetweenAlignsAnswersFromTheNewVersion) {
       << "the two fixture bundles must disagree for this test to bite";
   EXPECT_EQ(client.Ask(request), after);  // a memo hit on the new version
   EXPECT_EQ(registry_.CounterValue("index.exact.queries"), 2u);
+}
+
+// Once the filler reports the version full, every single-entity align is
+// answered on a loop — no dequeue, no request-path top-k — with the bytes
+// HandleLine produces on a second, lazily filled engine: filled rows are
+// bit-identical to computed ones, under both index policies.
+class FilledMemoTest : public AsyncServerTest,
+                       public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(FilledMemoTest, EverySingleAlignAnswersOnTheLoop) {
+  serve::EngineOptions engine_options;
+  engine_options.index_policy = GetParam();
+  serve::AsyncServerOptions options;
+  std::atomic<int> dequeued{0};
+  options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  std::string bundle = WriteIvfBundle();
+  StartAsyncOn(bundle, engine_options, options);
+  AwaitFullMemo();
+  serve::EngineStatusResult status = engine_->EngineStatus();
+  ASSERT_EQ(status.index, GetParam());
+  ASSERT_EQ(status.memo_rows, Pipeline().dataset.kg1.num_entities());
+  // The filler computed each row exactly once.
+  std::string index_queries = StrFormat("index.%s.queries", GetParam());
+  EXPECT_EQ(registry_.CounterValue(index_queries), status.memo_rows);
+
+  obs::Registry reference_registry;
+  serve::EngineOptions reference_options;
+  reference_options.index_policy = GetParam();
+  reference_options.registry = &reference_registry;
+  auto reference_engine = serve::QueryEngine::Open(bundle, reference_options);
+  ASSERT_TRUE(reference_engine.ok()) << reference_engine.status().ToString();
+  serve::Server reference(reference_engine->get(), serve::ServerOptions{});
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  std::vector<std::string> requests;
+  for (kg::EntityId e = 0; e < Pipeline().dataset.kg1.num_entities(); ++e) {
+    requests.push_back(StrFormat(
+        "{\"op\":\"align\",\"entity\":\"%s\"}",
+        Pipeline().dataset.kg1.EntityName(e).c_str()));
+    ASSERT_TRUE(client.Send(requests.back()));
+  }
+  for (const std::string& request : requests) {
+    ASSERT_EQ(client.ReadLine(), reference.HandleLine(request)) << request;
+  }
+  EXPECT_EQ(dequeued.load(), 0) << "an align reached a worker";
+  EXPECT_EQ(registry_.CounterValue("serve.loop_answered"), requests.size());
+  EXPECT_EQ(registry_.CounterValue("serve.align_memo.misses"), 0u);
+  EXPECT_EQ(registry_.CounterValue(index_queries), status.memo_rows);
+  // The reference engine computed every row on the request path.
+  EXPECT_EQ(reference_registry.CounterValue("serve.align_memo.misses"),
+            requests.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(IndexPolicies, FilledMemoTest,
+                         ::testing::Values("exact", "ivf"));
+
+// neighbors, repair_status and an explain the cache holds are answered on
+// the loop, with HandleLine's bytes and the same serve.* and
+// serve.explain_cache.* counts; only the explain's first, uncached render
+// and an explain whose name does not resolve reach a worker.
+TEST_F(AsyncServerTest, LookupsAnswerOnTheLoopLikeHandleLine) {
+  serve::AsyncServerOptions options;
+  std::atomic<int> dequeued{0};
+  options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  StartAsync(options);
+  obs::Registry reference_registry;
+  serve::EngineOptions reference_options;
+  reference_options.registry = &reference_registry;
+  auto reference_engine =
+      serve::QueryEngine::Open((dir_ / "bundle").string(), reference_options);
+  ASSERT_TRUE(reference_engine.ok()) << reference_engine.status().ToString();
+  serve::Server reference(reference_engine->get(), serve::ServerOptions{});
+
+  kg::AlignedPair pair = ServedPair();
+  std::string source = Pipeline().dataset.kg1.EntityName(pair.source);
+  std::string target = Pipeline().dataset.kg2.EntityName(pair.target);
+  std::string explain = StrFormat(
+      "{\"op\":\"explain\",\"source\":\"%s\",\"target\":\"%s\"}",
+      source.c_str(), target.c_str());
+  std::vector<std::string> requests = {
+      StrFormat("{\"op\":\"neighbors\",\"entity\":\"%s\"}", source.c_str()),
+      StrFormat("{\"op\":\"neighbors\",\"entity\":\"%s\",\"side\":\"2\"}",
+                target.c_str()),
+      "{\"op\":\"neighbors\",\"entity\":\"zh/NoSuchEntity\"}",
+      StrFormat("{\"op\":\"repair_status\",\"source\":\"%s\","
+                "\"target\":\"%s\"}",
+                source.c_str(), target.c_str()),
+      StrFormat("{\"op\":\"repair_status\",\"source\":\"%s\","
+                "\"target\":\"en/NoSuchEntity\"}",
+                source.c_str()),
+      explain,  // uncached: a worker renders it
+      explain,  // cached: the loop answers it
+      explain,
+      StrFormat("{\"op\":\"explain\",\"source\":\"%s\","
+                "\"target\":\"en/NoSuchEntity\"}",
+                source.c_str()),
+  };
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  for (const std::string& request : requests) {
+    EXPECT_EQ(client.Ask(request), reference.HandleLine(request)) << request;
+  }
+  EXPECT_EQ(dequeued.load(), 2);
+  EXPECT_EQ(registry_.CounterValue("serve.loop_answered"),
+            requests.size() - 2);
+  for (const char* counter :
+       {"serve.requests", "serve.ok", "serve.errors", "serve.malformed",
+        "serve.deadline_exceeded", "serve.op.neighbors",
+        "serve.op.repair_status", "serve.op.explain",
+        "serve.explain_cache.hits", "serve.explain_cache.misses"}) {
+    EXPECT_EQ(registry_.CounterValue(counter),
+              reference_registry.CounterValue(counter))
+        << counter;
+  }
+  EXPECT_EQ(registry_.CounterValue("serve.explain_cache.hits"), 2u);
+  EXPECT_EQ(registry_.HistogramSnapshot("serve.latency_ms").count,
+            reference_registry.HistogramSnapshot("serve.latency_ms").count);
+  std::string stats = client.Ask("{\"op\":\"stats\"}");
+  EXPECT_NE(stats.find(StrFormat("\"loop_answered\":%zu",
+                                 requests.size() - 2)),
+            std::string::npos)
+      << stats;
+}
+
+// An explain the cache does not hold is left to a worker, which renders
+// it and counts exactly one miss; the loop's declined lookup counts
+// nothing.
+TEST_F(AsyncServerTest, UncachedExplainReachesAWorkerAndCountsOneMiss) {
+  serve::AsyncServerOptions options;
+  std::atomic<int> dequeued{0};
+  options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  StartAsync(options);
+  kg::AlignedPair pair = ServedPair();
+  std::string explain = StrFormat(
+      "{\"op\":\"explain\",\"source\":\"%s\",\"target\":\"%s\"}",
+      Pipeline().dataset.kg1.EntityName(pair.source).c_str(),
+      Pipeline().dataset.kg2.EntityName(pair.target).c_str());
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  std::string response = client.Ask(explain);
+  EXPECT_EQ(response.rfind("{\"ok\":true,\"op\":\"explain\","
+                           "\"cache_hit\":false",
+                           0),
+            0u)
+      << response;
+  EXPECT_EQ(dequeued.load(), 1);
+  EXPECT_EQ(registry_.CounterValue("serve.explain_cache.misses"), 1u);
+  EXPECT_EQ(registry_.CounterValue("serve.explain_cache.hits"), 0u);
+  EXPECT_EQ(registry_.CounterValue("serve.loop_answered"), 0u);
+}
+
+// A swap while the filler is midway through a version: at its next block
+// the filler drops the retired version (the live-versions gauge falls back
+// to one) and fills the new one, whose rows match HandleLine on a lazily
+// filled engine over the same bundle.
+TEST_F(AsyncServerTest, SwapMidFillDropsTheOldVersionAndFillsTheNew) {
+  serve::AsyncServerOptions options;
+  std::atomic<int> dequeued{0};
+  options.worker_hook_for_test = [&] { dequeued.fetch_add(1); };
+  std::mutex mu;
+  std::condition_variable cv;
+  int blocks = 0;
+  bool released = false;
+  // Parks before the first version's second block, once its first
+  // kFillBlockRows rows are filled.
+  options.filler_hook_for_test = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++blocks != 2) return;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  };
+  StartAsync(options);
+  std::string alt = WriteAltBundle();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(20),
+                            [&] { return blocks >= 2; }));
+  }
+  constexpr size_t kBlock = serve::ServingState::kFillBlockRows;
+  serve::EngineStatusResult mid = engine_->EngineStatus();
+  EXPECT_EQ(mid.epoch, 1u);
+  EXPECT_EQ(mid.memo_filled, kBlock);
+  ASSERT_GT(mid.memo_rows, 2 * kBlock);
+
+  auto epoch = engine_->LoadSnapshot(alt);
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  // The parked filler still pins the retired version.
+  EXPECT_EQ(registry_.GaugeValue("serve.snapshot.versions"), 2.0);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  AwaitFullMemo();
+  serve::EngineStatusResult filled = engine_->EngineStatus();
+  EXPECT_EQ(filled.epoch, *epoch);
+  EXPECT_EQ(registry_.GaugeValue("serve.snapshot.versions"), 1.0);
+  // One block of the old version, then every row of the new one.
+  EXPECT_EQ(registry_.CounterValue("index.exact.queries"),
+            kBlock + filled.memo_rows);
+
+  auto reference_engine = serve::QueryEngine::Open(alt, serve::EngineOptions{});
+  ASSERT_TRUE(reference_engine.ok()) << reference_engine.status().ToString();
+  serve::Server reference(reference_engine->get(), serve::ServerOptions{});
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  for (kg::EntityId e = 0; e < Pipeline().dataset.kg1.num_entities(); ++e) {
+    std::string request =
+        StrFormat("{\"op\":\"align\",\"entity\":\"%s\"}",
+                  Pipeline().dataset.kg1.EntityName(e).c_str());
+    ASSERT_EQ(client.Ask(request), reference.HandleLine(request)) << request;
+  }
+  EXPECT_EQ(dequeued.load(), 0);
+}
+
+// Shutdown() while the filler is midway through a version returns after
+// at most the block in progress, not the rest of the fill, and every
+// line admitted before it is answered.
+TEST_F(AsyncServerTest, ShutdownMidFillReturnsPromptlyAndAnswersAdmitted) {
+  serve::AsyncServerOptions options;
+  options.workers = 1;
+  constexpr auto kBlockDelay = std::chrono::milliseconds(200);
+  std::atomic<int> blocks{0};
+  options.filler_hook_for_test = [&] {
+    blocks.fetch_add(1);
+    std::this_thread::sleep_for(kBlockDelay);
+  };
+  // The worker is slow too, so lines are still queued at Shutdown().
+  options.worker_hook_for_test = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  StartAsync(options);
+  std::string source = Pipeline().dataset.kg1.EntityName(ServedPair().source);
+  std::string batched =
+      StrFormat("{\"op\":\"align\",\"entities\":\"%s\"}", source.c_str());
+  std::string neighbors =
+      StrFormat("{\"op\":\"neighbors\",\"entity\":\"%s\"}", source.c_str());
+
+  AsyncClient client(async_->port());
+  ASSERT_TRUE(client.connected());
+  constexpr uint64_t kLines = 16;
+  for (uint64_t i = 0; i < kLines; ++i) {
+    ASSERT_TRUE(client.Send(i % 2 == 0 ? batched : neighbors));
+  }
+  for (int waited_ms = 0;
+       (registry_.CounterValue("serve.requests") < kLines || blocks < 2) &&
+       waited_ms < 20000;
+       ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(registry_.CounterValue("serve.requests"), kLines);
+
+  WallTimer shutdown;
+  async_->Shutdown();
+  double shutdown_s = shutdown.ElapsedSeconds();
+  serve::EngineStatusResult status = engine_->EngineStatus();
+  size_t blocks_left =
+      (status.memo_rows - status.memo_filled) /
+      serve::ServingState::kFillBlockRows;
+  ASSERT_GE(blocks_left, 4u) << "the fill finished before Shutdown()";
+  // The rest of the fill would have taken blocks_left * kBlockDelay.
+  double rest_of_fill_s =
+      static_cast<double>(blocks_left) *
+      std::chrono::duration<double>(kBlockDelay).count();
+  EXPECT_LT(shutdown_s, rest_of_fill_s / 2) << "Shutdown() waited out the fill";
+
+  for (uint64_t i = 0; i < kLines; ++i) {
+    std::string response = client.ReadLine();
+    EXPECT_EQ(response.rfind("{\"ok\":true", 0), 0u)
+        << "line " << i << ": " << response;
+  }
+  EXPECT_EQ(client.ReadLine(), "");  // the server closed the connection
 }
 
 }  // namespace

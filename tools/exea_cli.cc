@@ -45,8 +45,9 @@
 //             [--op align|explain|stats|mixed] | --port N [--op stats]
 //             Concurrent-client load generator against the async serving
 //             core (self-hosted from a bundle, or attached to a running
-//             server): reports QPS, reject rate, and p50/p99 latency,
-//             and fails on any malformed or missing response.
+//             server): reports QPS, reject rate, and p50/p99 latency in
+//             total and per op, and fails on any malformed or missing
+//             response.
 //
 // Global flags (any subcommand):
 //   --threads N   worker threads for the parallel kernels (default all
@@ -65,6 +66,8 @@
 #include <cstdio>
 #include <deque>
 #include <iostream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -248,9 +251,11 @@ const char* SubcommandHelp(const std::string& command) {
            "  `exea_cli serve`, with the same defaults and checks.\n"
            "  --clients is 1..256, --port 1..65535, and --requests,\n"
            "  --pipeline and --swaps positive integers.\n"
-           "  Prints one machine-greppable result line (QPS, reject and\n"
-           "  shed counts, p50/p99 latency) and exits non-zero if any\n"
-           "  response is malformed or missing.\n"
+           "  --op mixed cycles align, explain, neighbors, repair_status\n"
+           "  and stats. Prints one machine-greppable result line (QPS,\n"
+           "  reject and shed counts, p50/p99 latency), then one\n"
+           "  bench-load-op line per op with its p50/p99, and exits\n"
+           "  non-zero if any response is malformed or missing.\n"
            "  --swap-bundle DIR hot-swaps the self-hosted server between\n"
            "  DIR and --bundle --swaps times (default 5) while the load\n"
            "  clients run, proving zero dropped or malformed responses\n"
@@ -1042,31 +1047,31 @@ int CmdBenchLoad(const Flags& flags) {
     return Fail("--swap-bundle requires self-hosted mode (--bundle)");
   }
 
-  // Deterministic request streams: client c's i-th request takes entry
-  // c * requests + i of the entity (or pair) list, wrapping, so
-  // concurrent clients start on different entities. An align that
-  // repeats an entity on the same snapshot version — once the streams
-  // wrap or overlap — is answered from that version's align memo without
-  // a top-k; only each entity's first align per version runs one.
+  // Deterministic request streams: every client's i-th request is of
+  // kind_of(i) (mixed cycles align, explain, neighbors, repair_status and
+  // stats), and client c's i-th request takes entry c * requests + i of
+  // the entity (or pair) list, wrapping, so concurrent clients start on
+  // different entities. An align that repeats an entity on the same
+  // snapshot version — once the streams wrap or overlap — is answered
+  // from that version's align memo without a top-k.
+  auto kind_of = [&](size_t i) -> std::string {
+    if (op != "mixed") return op;
+    static constexpr const char* kMixed[] = {"align", "explain", "neighbors",
+                                             "repair_status", "stats"};
+    return kMixed[i % std::size(kMixed)];
+  };
   auto request_for = [&](size_t client, size_t i) -> std::string {
-    std::string kind = op;
-    if (op == "mixed") {
-      switch (i % 3) {
-        case 0: kind = "align"; break;
-        case 1: kind = "explain"; break;
-        default: kind = "stats"; break;
-      }
-    }
+    std::string kind = kind_of(i);
     size_t pick = client * requests + i;
-    if (kind == "align") {
+    if (kind == "align" || kind == "neighbors") {
       const std::string& name =
           align_entities[pick % align_entities.size()];
-      return "{\"op\":\"align\",\"entity\":\"" + serve::JsonEscape(name) +
-             "\"}";
+      return "{\"op\":\"" + kind + "\",\"entity\":\"" +
+             serve::JsonEscape(name) + "\"}";
     }
-    if (kind == "explain") {
+    if (kind == "explain" || kind == "repair_status") {
       const auto& pair = explain_pairs[pick % explain_pairs.size()];
-      return "{\"op\":\"explain\",\"source\":\"" +
+      return "{\"op\":\"" + kind + "\",\"source\":\"" +
              serve::JsonEscape(pair.first) + "\",\"target\":\"" +
              serve::JsonEscape(pair.second) + "\"}";
     }
@@ -1115,6 +1120,7 @@ int CmdBenchLoad(const Flags& flags) {
 
   LoadTally total;
   std::vector<double> latencies;
+  std::map<std::string, std::vector<double>> latencies_by_op;
   for (const LoadTally& tally : tallies) {
     total.sent += tally.sent;
     total.received += tally.received;
@@ -1125,6 +1131,11 @@ int CmdBenchLoad(const Flags& flags) {
     total.malformed += tally.malformed;
     latencies.insert(latencies.end(), tally.per_request_ms.begin(),
                      tally.per_request_ms.end());
+    // Responses come back in request order, so the i-th latency is the
+    // i-th request's.
+    for (size_t i = 0; i < tally.per_request_ms.size(); ++i) {
+      latencies_by_op[kind_of(i)].push_back(tally.per_request_ms[i]);
+    }
   }
   if (hosted != nullptr) hosted->Shutdown();
 
@@ -1142,6 +1153,13 @@ int CmdBenchLoad(const Flags& flags) {
       total.other_errors, total.malformed, missing, qps,
       obs::NearestRankQuantile(latencies, 0.5),
       obs::NearestRankQuantile(latencies, 0.99), seconds);
+  for (const auto& [kind, op_latencies] : latencies_by_op) {
+    std::printf("bench-load-op: op=%s responses=%zu p50_ms=%.3f "
+                "p99_ms=%.3f\n",
+                kind.c_str(), op_latencies.size(),
+                obs::NearestRankQuantile(op_latencies, 0.5),
+                obs::NearestRankQuantile(op_latencies, 0.99));
+  }
   if (!swap_bundle.empty()) {
     std::printf("bench-load-swaps: attempted=%zu ok=%zu failed=%zu\n",
                 swaps, swaps_done.load(), swap_failures.load());
